@@ -22,8 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coxeter import ParabolicType, WeylGroup, create_weyl, longest_element, word_string
-from .ffield import get_field, is_prime
+from .coxeter import create_weyl, longest_element, word_string
+from .ffield import get_field, is_prime, prime_power
 from .fzip import Undetermined, classify, enumerate_strata, fzip_from_json, fzip_type
 from .grouplab import (
     TooLarge,
@@ -108,17 +108,12 @@ def _parse_ext_range(text: str) -> tuple[int, ...]:
     return values
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise _UsageError(f"{q} is not a prime power")
-    p = next(r for r in range(2, q + 1) if q % r == 0)
-    d, rest = 0, q
-    while rest > 1:
-        if rest % p:
-            raise _UsageError(f"{q} is not a prime power")
-        rest //= p
-        d += 1
-    return p, d
+def _field_size(q: int) -> tuple[int, int]:
+    """The (p, d) of a --q value; anything but a prime power is a usage error."""
+    try:
+        return prime_power(q)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _blocks_to_simples(blocks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -305,7 +300,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_orbits(cfg: RunConfig) -> int:
     p = cfg.parameters
-    prime, degree = _prime_power(p["q"])
+    prime, degree = _field_size(p["q"])
     n = p["n"]
     if n < 2:
         raise _UsageError("--n must be at least 2")
@@ -395,13 +390,12 @@ def cmd_witt(cfg: RunConfig) -> int:
 
 def cmd_counterexample(cfg: RunConfig) -> int:
     p = cfg.parameters
+    for q in p["qs"]:
+        _field_size(q)
     rows = []
     for q in p["qs"]:
         _progress(f"certifying the conjugation counterexample over F_{q}")
-        try:
-            rows.append(counterexample_gl2(q))
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+        rows.append(counterexample_gl2(q))
     if cfg.format == "json":
         text = _dump_json(
             [
@@ -507,38 +501,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        command=ns.command,
-        parameters=vars(ns),
-        output_path=getattr(ns, "out", None),
-        format=getattr(ns, "format", "text"),
-    )
+    out, fmt = getattr(ns, "out", None), getattr(ns, "format", "text")
     if ns.command == "weyl":
-        return cmd_weyl(
-            RunConfig(cfg.command, {"family": ns.family, "rank": ns.rank}, cfg.output_path, cfg.format)
-        )
+        return cmd_weyl(RunConfig(ns.command, {"family": ns.family, "rank": ns.rank}, out, fmt))
     if ns.command == "strata":
-        return cmd_strata(cfg, ns)
+        return cmd_strata(RunConfig(ns.command, vars(ns), out, fmt), ns)
     if ns.command == "purity-check":
-        return cmd_purity_check(cfg, ns)
+        return cmd_purity_check(RunConfig(ns.command, vars(ns), out, fmt), ns)
     if ns.command == "classify":
         return cmd_classify(
-            RunConfig(cfg.command, {"input": ns.input, "max_ext": ns.max_ext}, cfg.output_path, cfg.format)
+            RunConfig(ns.command, {"input": ns.input, "max_ext": ns.max_ext}, out, fmt)
         )
     if ns.command == "orbits":
         exts = _parse_ext_range(ns.ext)
         return cmd_orbits(
             RunConfig(
-                cfg.command,
+                ns.command,
                 {"n": ns.n, "q": ns.q, "exts": exts, "blocks": ns.blocks},
-                cfg.output_path,
-                cfg.format,
+                out,
+                fmt,
             )
         )
     if ns.command == "witt":
         return cmd_witt(
             RunConfig(
-                cfg.command,
+                ns.command,
                 {
                     "p": ns.p,
                     "d": ns.d,
@@ -547,17 +534,15 @@ def _dispatch(ns: argparse.Namespace) -> int:
                     "d_block": ns.d_block,
                     "check_reduction": ns.check_reduction,
                 },
-                cfg.output_path,
-                cfg.format,
+                out,
+                fmt,
             )
         )
     if ns.command == "counterexample":
         qs = _parse_int_list(ns.q, "--q")
         if not qs:
             raise _UsageError("--q must list at least one prime power")
-        return cmd_counterexample(
-            RunConfig(cfg.command, {"qs": qs}, cfg.output_path, cfg.format)
-        )
+        return cmd_counterexample(RunConfig(ns.command, {"qs": qs}, out, fmt))
     raise AssertionError(f"unhandled command {ns.command}")
 
 

@@ -256,10 +256,6 @@ def is_right_descent(w: WeylElement, i: int) -> bool:
     return not root_is_positive(w.act_on_root(w.group.simple_root(i)))
 
 
-def is_left_descent(w: WeylElement, i: int) -> bool:
-    return is_right_descent(w.inverse(), i)
-
-
 @lru_cache(maxsize=None)
 def _reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Lexicographically smallest reduced word, by greedy left-descent stripping."""

@@ -5,12 +5,17 @@ base-p digits are the coefficients of a polynomial in the canonical generator,
 reduced modulo the lexicographically smallest monic irreducible polynomial of
 the right degree.  Matrices are tuples of row tuples of such integers.  All
 routines are exact; nothing here depends on floating point.
+
+The polynomial kernel modulo q, the irreducibility test and the prime-power
+parser here are the only ones in the package; the Galois rings of `witt`
+reuse them with q = p**m.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from math import isqrt
+from typing import Sequence
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -28,57 +33,83 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """The pair (p, d) with p prime, d >= 1 and q == p**d; ValueError otherwise."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((r for r in range(2, isqrt(q) + 1) if q % r == 0), q)
+    d, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        d += 1
+    if rest != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, d
+
+
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (little-endian coefficient tuples)
+# polynomials with coefficients modulo q (little-endian coefficient sequences)
 # ---------------------------------------------------------------------------
+# One kernel serves the fields F_p[x]/(f) (q = p) and the Galois rings
+# Z/p**m[x]/(f) (q = p**m); every modulus is monic.  They run once per ring
+# product and `bench/tracing.py` times every public function, so they stay
+# private.
 
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _poly_mul_q(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b):
+                out[i + j] = (out[i + j] + av * bv) % q
+    return out
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
+def _poly_rem_q(a: Sequence[int], modulus: Sequence[int], q: int) -> tuple[int, ...]:
+    """Remainder of a modulo a monic modulus, returned with fixed length."""
+    deg = len(modulus) - 1
+    r = [v % q for v in a]
+    if len(r) < deg:
+        r += [0] * (deg - len(r))
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        r[i] = 0
+        for j in range(deg):
+            r[i - deg + j] = (r[i - deg + j] - c * modulus[j]) % q
+    return tuple(r[:deg])
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # b must be nonzero; works over F_p.
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    if len(a) - 1 < db:
-        return (), _poly_trim(a)
-    quot = [0] * (len(a) - db)
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top]
-        if c:
-            f = (c * inv_lb) % p
-            quot[top - db] = f
-            for j in range(db + 1):
-                a[top - db + j] = (a[top - db + j] - f * b[j]) % p
-    return _poly_trim(quot), _poly_trim(a)
+def _coeff_mul(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], q: int) -> tuple[int, ...]:
+    return _poly_rem_q(_poly_mul_q(a, b, q), modulus, q)
 
 
-def _poly_is_irreducible(f: Sequence[int], p: int) -> bool:
+def _coeff_pow(base: Sequence[int], k: int, modulus: Sequence[int], q: int) -> tuple[int, ...]:
+    deg = len(modulus) - 1
+    out = tuple([1 % q] + [0] * (deg - 1))
+    cur = _poly_rem_q(base, modulus, q)
+    while k:
+        if k & 1:
+            out = _coeff_mul(out, cur, modulus, q)
+        cur = _coeff_mul(cur, cur, modulus, q)
+        k >>= 1
+    return out
+
+
+def _monic(p: int, degree: int, enc: int) -> tuple[int, ...]:
+    """The monic polynomial whose lower coefficients are the base-p digits of enc."""
+    return tuple((enc // p**k) % p for k in range(degree)) + (1,)
+
+
+def _is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Whether a monic polynomial over F_p is irreducible, by trial division."""
     d = len(f) - 1
     if d < 1:
         return False
-    if d == 1:
-        return True
     for deg in range(1, d // 2 + 1):
         for enc in range(p**deg):
-            cand = [(enc // p**k) % p for k in range(deg)] + [1]
-            _, rem = _poly_divmod(f, cand, p)
-            if not rem:
+            if not any(_poly_rem_q(f, _monic(p, deg, enc), p)):
                 return False
     return True
 
@@ -90,8 +121,8 @@ def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
     coefficients, so the result is canonical and shared by every consumer.
     """
     for enc in range(p**degree):
-        cand = tuple((enc // p**k) % p for k in range(degree)) + (1,)
-        if _poly_is_irreducible(cand, p):
+        cand = _monic(p, degree, enc)
+        if _is_irreducible(cand, p):
             return cand
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
@@ -143,9 +174,7 @@ class FiniteField:
         return out
 
     def _mul_raw(self, a: int, b: int) -> int:
-        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
-        _, rem = _poly_divmod(prod, self.modulus, self.p)
-        return self._from_digits(rem + (0,) * (self.degree - len(rem)))
+        return self._from_digits(_coeff_mul(self._digits(a), self._digits(b), self.modulus, self.p))
 
     def _build_tables(self) -> None:
         n = self.order
@@ -294,14 +323,6 @@ def mat_identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_zero(rows: int, cols: int) -> Mat:
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def mat_from_rows(rows: Iterable[Iterable[int]]) -> Mat:
-    return tuple(tuple(r) for r in rows)
-
-
 def mat_transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
@@ -322,31 +343,9 @@ def mat_mul(field: FiniteField, a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def mat_vec(field: FiniteField, a: Mat, v: Sequence[int]) -> tuple[int, ...]:
-    add, mul = field.add, field.mul
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
 def mat_frobenius(field: FiniteField, a: Mat, k: int = 1) -> Mat:
     fr = field.frobenius
     return tuple(tuple(fr(x, k) for x in row) for row in a)
-
-
-def mat_scale(field: FiniteField, c: int, a: Mat) -> Mat:
-    mul = field.mul
-    return tuple(tuple(mul(c, x) for x in row) for row in a)
-
-
-def mat_add(field: FiniteField, a: Mat, b: Mat) -> Mat:
-    add = field.add
-    return tuple(tuple(add(x, y) for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def _row_reduce(field: FiniteField, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -451,16 +450,6 @@ def mat_hstack(blocks: Sequence[Mat]) -> Mat:
     if not blocks:
         return ()
     return tuple(tuple(x for b in blocks for x in b[i]) for i in range(len(blocks[0])))
-
-
-def span_contains(field: FiniteField, span: Mat, vec: Sequence[int]) -> bool:
-    if not span or not span[0]:
-        return not any(vec)
-    try:
-        solve_right(field, span, tuple((x,) for x in vec))
-        return True
-    except ValueError:
-        return False
 
 
 def mat_embed(table: Sequence[int], a: Mat) -> Mat:

@@ -44,6 +44,7 @@ from .ffield import (
     mat_is_invertible,
     mat_mul,
     mat_transpose,
+    prime_power,
     solve_right,
 )
 from .grouplab import make_zip_datum, zip_orbit_search
@@ -184,11 +185,8 @@ Pairs = tuple  # ((weight, Mat), ...), sorted by weight
 
 
 def _exp_of(p: int, q: int) -> int:
-    e, m = 0, q
-    while m > 1 and m % p == 0:
-        m //= p
-        e += 1
-    if e < 1 or m != 1:
+    base, e = prime_power(q)
+    if base != p:
         raise ValueError(f"{q} is not a positive power of {p}")
     return e
 
@@ -816,27 +814,32 @@ def fzip_from_json(text: str) -> FZipConcrete:
             raise ValueError("field elements must be coefficient arrays")
         return ff.element_from_coeffs([int(c) for c in coeffs])
 
+    def entry(item, key: str):
+        try:
+            return item[key]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"missing or malformed field: {exc}") from exc
+
     def space_pairs(items) -> tuple:
         out = []
         for item in items:
-            cols = item["cols"]
+            cols = entry(item, "cols")
+            if any(not isinstance(col, list) or len(col) != n for col in cols):
+                raise ValueError("every column needs one entry per row")
             rows = tuple(
                 tuple(decode(col[r]) for col in cols) for r in range(n)
             ) if cols else _zero_space(n)
-            for col in cols:
-                if len(col) != n:
-                    raise ValueError("every column needs one entry per row")
-            out.append((int(item["i"]), rows))
+            out.append((int(entry(item, "i")), rows))
         return tuple(out)
 
     phi_pairs = []
     for item in phi_list:
-        if int(item["frob_exp"]) != e:
+        if int(entry(item, "frob_exp")) != e:
             raise ValueError("the recorded Frobenius power disagrees with q")
         phi_pairs.append(
             (
-                int(item["i"]),
-                tuple(tuple(decode(x) for x in row) for row in item["matrix"]),
+                int(entry(item, "i")),
+                tuple(tuple(decode(x) for x in row) for row in entry(item, "matrix")),
             )
         )
     return FZipConcrete(

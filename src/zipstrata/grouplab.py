@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, log
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
     ParabolicType,
@@ -38,11 +38,13 @@ from .ffield import (
     Mat,
     get_field,
     gl_order,
+    mat_frobenius,
     mat_identity,
     mat_inv,
     mat_is_invertible,
     mat_mul,
     mat_rank,
+    prime_power,
 )
 from .zipdatum import ZipCombinatorics, dim_parabolic, zip_from_cocharacter
 
@@ -142,13 +144,6 @@ def _perm_inverse(a: Sequence[int]) -> tuple[int, ...]:
 def _perm_inversions(a: Sequence[int]) -> int:
     return sum(
         1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] > a[j]
-    )
-
-
-def _perm_matrix(a: Sequence[int]) -> Mat:
-    n = len(a)
-    return tuple(
-        tuple(1 if a[j] == i else 0 for j in range(n)) for i in range(n)
     )
 
 
@@ -348,11 +343,6 @@ def _levi_part(m: Mat, classes: Sequence[Sequence[int]], n: int) -> Mat:
     )
 
 
-def _frobenius_entrywise(field: FiniteField, m: Mat, k: int) -> Mat:
-    table = tuple(field.frobenius(a, k) for a in range(field.order))
-    return tuple(tuple(table[v] for v in row) for row in m)
-
-
 def zip_group_points(
     datum: ZipDatumGroupLevel, ext: int = 1
 ) -> tuple[tuple[Mat, Mat], ...]:
@@ -368,7 +358,7 @@ def zip_group_points(
     k = datum.twist_exponent
     out = []
     for p_prime in lowers:
-        levi = _frobenius_entrywise(ff, _levi_part(p_prime, classes, n), k)
+        levi = mat_frobenius(ff, _levi_part(p_prime, classes, n), k)
         for values in itertools.product(range(ff.order), repeat=len(upper_strict)):
             m = [list(row) for row in levi]
             for (i, j), v in zip(upper_strict, values):
@@ -762,7 +752,7 @@ def zip_generators(
                         levis.append(transvection(i, j, c))
     for l in levis:
         for m in (l, mat_inv(ff, l)):
-            pairs.append((m, _frobenius_entrywise(ff, m, k)))
+            pairs.append((m, mat_frobenius(ff, m, k)))
     return tuple(pairs)
 
 
@@ -949,17 +939,7 @@ class Gl2Counterexample:
 
 def counterexample_gl2(q: int) -> Gl2Counterexample:
     """Certify the failure of one-step closures for conjugation on GL_2(F_q)."""
-    if q < 2:
-        raise ValueError("q must be a prime power")
-    p = next(r for r in range(2, q + 1) if q % r == 0)
-    d = 0
-    m = q
-    while m > 1:
-        if m % p:
-            raise ValueError("q must be a prime power")
-        m //= p
-        d += 1
-    field = get_field(p, d)
+    field = get_field(*prime_power(q))
     u = ((1, 1), (0, 1))
     points = gl_points(2, field)
     orbit = {mat_mul(field, mat_mul(field, g, u), mat_inv(field, g)) for g in points}

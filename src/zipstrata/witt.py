@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence, Union
 
 from .ffield import (
     FiniteField,
     Mat,
+    _coeff_mul,
+    _coeff_pow,
+    _is_irreducible,
+    _poly_rem_q,
     get_field,
     gl_order,
     is_prime,
@@ -82,116 +86,6 @@ class SingularZ(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic with coefficients modulo q
-# ---------------------------------------------------------------------------
-
-
-def _poly_mul_q(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] = (out[i + j] + av * bv) % q
-    return out
-
-
-def _poly_rem_q(a: Sequence[int], modulus: Sequence[int], q: int) -> tuple[int, ...]:
-    """Remainder of a modulo a monic modulus, returned with fixed length."""
-    deg = len(modulus) - 1
-    r = [v % q for v in a]
-    if len(r) < deg:
-        r += [0] * (deg - len(r))
-    for i in range(len(r) - 1, deg - 1, -1):
-        c = r[i]
-        if not c:
-            continue
-        r[i] = 0
-        for j in range(deg):
-            r[i - deg + j] = (r[i - deg + j] - c * modulus[j]) % q
-    return tuple(r[:deg])
-
-
-def _coeff_mul(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], q: int) -> tuple[int, ...]:
-    return _poly_rem_q(_poly_mul_q(a, b, q), modulus, q)
-
-
-def _coeff_pow(base: Sequence[int], k: int, modulus: Sequence[int], q: int) -> tuple[int, ...]:
-    deg = len(modulus) - 1
-    out = tuple([1 % q] + [0] * (deg - 1))
-    cur = _poly_rem_q(base, modulus, q)
-    while k:
-        if k & 1:
-            out = _coeff_mul(out, cur, modulus, q)
-        cur = _coeff_mul(cur, cur, modulus, q)
-        k >>= 1
-    return out
-
-
-def _poly_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Remainder of a by a nonzero b over F_p (b need not be monic)."""
-    r = [v % p for v in a]
-    lead_inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    for i in range(len(r) - 1, db - 1, -1):
-        c = (r[i] * lead_inv) % p
-        if not c:
-            continue
-        for j in range(len(b)):
-            r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    del r[db:]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _poly_gcd_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = [v % p for v in a]
-    b = [v % p for v in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        a, b = b, _poly_mod_p(a, b, p)
-    return a
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_irreducible_mod_p(f: Sequence[int], p: int) -> bool:
-    """Whether a monic polynomial is irreducible over F_p (Rabin's test)."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x = (0, 1)
-    powers = {0: x}
-    t = x
-    for k in range(1, d + 1):
-        t = _coeff_pow(t, p, f, p)
-        powers[k] = t
-    if powers[d] != _poly_rem_q(x, f, p):
-        return False
-    for ell in _prime_factors(d):
-        diff = [(u - v) % p for u, v in zip(powers[d // ell], _poly_rem_q(x, f, p))]
-        if len(_poly_gcd_p(diff, f, p)) > 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # the Galois ring W_m(F_{p**d})
 # ---------------------------------------------------------------------------
 
@@ -223,18 +117,22 @@ class GaloisRing:
         if any(not 0 <= v < q for v in self.modulus):
             raise ValueError("the modulus coefficients must be reduced modulo p**m")
         residue = [v % self.p for v in self.modulus]
-        if not _is_irreducible_mod_p(residue, self.p):
+        if not _is_irreducible(residue, self.p):
             raise ValueError("the modulus must be irreducible modulo p")
         if self.d >= 2:
             x = (0, 1)
             if _coeff_pow(x, self.p**self.d, self.modulus, q) != _poly_rem_q(x, self.modulus, q):
                 raise ValueError("the class of x must be a Teichmueller unit")
 
-    @property
+    # Derived values live in the instance dict: element operations read them
+    # on every call, and an lru_cache keyed by the ring would rehash all four
+    # fields on every lookup.
+
+    @cached_property
     def char(self) -> int:
         return self.p**self.m
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.p ** (self.m * self.d)
 
@@ -242,13 +140,17 @@ class GaloisRing:
     def residue_field(self) -> FiniteField:
         return get_field(self.p, self.d)
 
-    @property
+    @cached_property
     def zero(self) -> "GaloisRingElement":
         return GaloisRingElement(self, (0,) * self.d)
 
-    @property
+    @cached_property
     def one(self) -> "GaloisRingElement":
         return GaloisRingElement(self, (1,) + (0,) * (self.d - 1))
+
+    @cached_property
+    def _sigma_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        return _frobenius_tables(self)
 
     def element(self, coeffs: Sequence[int]) -> "GaloisRingElement":
         if len(coeffs) > self.d:
@@ -283,7 +185,7 @@ class GaloisRingElement:
         if len(self.coeffs) != self.ring.d:
             raise ValueError("the coefficient tuple must have length d")
         q = self.ring.char
-        object.__setattr__(self, "coeffs", tuple(int(v) % q for v in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([int(v) % q for v in self.coeffs]))
 
     def _same_ring(self, other: "GaloisRingElement") -> None:
         if self.ring is not other.ring and self.ring != other.ring:
@@ -304,29 +206,23 @@ class GaloisRingElement:
     def __add__(self, other: "GaloisRingElement") -> "GaloisRingElement":
         self._same_ring(other)
         q = self.ring.char
-        return GaloisRingElement(
-            self.ring, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _element(self.ring, tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "GaloisRingElement":
         q = self.ring.char
-        return GaloisRingElement(self.ring, tuple((-a) % q for a in self.coeffs))
+        return _element(self.ring, tuple([(-a) % q for a in self.coeffs]))
 
     def __sub__(self, other: "GaloisRingElement") -> "GaloisRingElement":
         self._same_ring(other)
         q = self.ring.char
-        return GaloisRingElement(
-            self.ring, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _element(self.ring, tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other: Union["GaloisRingElement", int]) -> "GaloisRingElement":
         q = self.ring.char
         if isinstance(other, int):
-            return GaloisRingElement(self.ring, tuple((a * other) % q for a in self.coeffs))
+            return _element(self.ring, tuple([(a * other) % q for a in self.coeffs]))
         self._same_ring(other)
-        return GaloisRingElement(
-            self.ring, _coeff_mul(self.coeffs, other.coeffs, self.ring.modulus, q)
-        )
+        return _element(self.ring, _coeff_mul(self.coeffs, other.coeffs, self.ring.modulus, q))
 
     def __rmul__(self, other: int) -> "GaloisRingElement":
         return self.__mul__(other)
@@ -334,9 +230,7 @@ class GaloisRingElement:
     def __pow__(self, k: int) -> "GaloisRingElement":
         if k < 0:
             return self.inverse() ** (-k)
-        return GaloisRingElement(
-            self.ring, _coeff_pow(self.coeffs, k, self.ring.modulus, self.ring.char)
-        )
+        return _element(self.ring, _coeff_pow(self.coeffs, k, self.ring.modulus, self.ring.char))
 
     def inverse(self) -> "GaloisRingElement":
         """The multiplicative inverse, lifted from the residue field by Newton."""
@@ -356,6 +250,15 @@ class GaloisRingElement:
     def __repr__(self) -> str:  # pragma: no cover
         r = self.ring
         return f"GaloisRingElement({self.coeffs} in p={r.p}, d={r.d}, m={r.m})"
+
+
+def _element(ring: GaloisRing, coeffs: tuple[int, ...]) -> GaloisRingElement:
+    """An element from d coefficients already reduced modulo p**m, unchecked."""
+    e = object.__new__(GaloisRingElement)
+    fields = e.__dict__
+    fields["ring"] = ring
+    fields["coeffs"] = coeffs
+    return e
 
 
 def _teichmueller_modulus(p: int, d: int, m: int, f0: tuple[int, ...]) -> tuple[int, ...]:
@@ -426,7 +329,6 @@ def make_ring(p: int, d: int, m: int) -> GaloisRing:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _frobenius_tables(ring: GaloisRing) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Coefficient tables for sigma and its inverse: row i is sigma(x)**i."""
     d, q, modulus = ring.d, ring.char, ring.modulus
@@ -454,14 +356,18 @@ def _apply_table(table: tuple[tuple[int, ...], ...], coeffs: tuple[int, ...], q:
 
 def frobenius(x: GaloisRingElement) -> GaloisRingElement:
     """The Frobenius lift sigma, the ring automorphism with sigma(x) = x**p."""
-    table, _ = _frobenius_tables(x.ring)
-    return GaloisRingElement(x.ring, _apply_table(table, x.coeffs, x.ring.char))
+    ring = x.ring
+    if ring.d == 1:
+        return x  # sigma is the identity on Z/p**m
+    return _element(ring, _apply_table(ring._sigma_tables[0], x.coeffs, ring.char))
 
 
 def frobenius_inv(x: GaloisRingElement) -> GaloisRingElement:
     """The inverse automorphism sigma**(-1) = sigma**(d-1)."""
-    _, table = _frobenius_tables(x.ring)
-    return GaloisRingElement(x.ring, _apply_table(table, x.coeffs, x.ring.char))
+    ring = x.ring
+    if ring.d == 1:
+        return x
+    return _element(ring, _apply_table(ring._sigma_tables[1], x.coeffs, ring.char))
 
 
 def verschiebung(x: GaloisRingElement) -> GaloisRingElement:

@@ -368,6 +368,17 @@ def test_counterexample_json_format_carries_the_codimension_two_witness(capsys):
 def test_counterexample_rejects_a_composite_q_as_usage_error(capsys):
     assert run(capsys, "counterexample", "--q", "6")[0] == 2
     assert run(capsys, "counterexample", "--q", "")[0] == 2
+    # every q is checked before any field is swept
+    code, out, err = run(capsys, "counterexample", "--q", "2,6")
+    assert (code, out) == (2, "")
+    assert "certifying" not in err
+
+
+def test_counterexample_over_an_oversized_field_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "counterexample", "--q", "49")
+    assert code == 3
+    assert out == ""
+    assert "domain error" in err
 
 
 # ---------------------------------------------------------------------------

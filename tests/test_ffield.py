@@ -11,6 +11,7 @@ import pytest
 
 from zipstrata.ffield import (
     FiniteField,
+    _is_irreducible,
     column_echelon,
     get_field,
     gl_order,
@@ -21,6 +22,7 @@ from zipstrata.ffield import (
     mat_mul,
     mat_rank,
     mat_transpose,
+    prime_power,
     smallest_irreducible,
     solve_right,
 )
@@ -33,6 +35,44 @@ def test_smallest_irreducible_matches_hand_computed_moduli():
     assert smallest_irreducible(2, 3) == (1, 1, 0, 1)
     assert smallest_irreducible(3, 1) == (0, 1)
     assert smallest_irreducible(3, 2) == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "q,expected",
+    [(2, (2, 1)), (4, (2, 2)), (7, (7, 1)), (9, (3, 2)), (2**13, (2, 13)), (9973, (9973, 1))],
+)
+def test_prime_power_splits_prime_powers(q, expected):
+    assert prime_power(q) == expected
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 100])
+def test_prime_power_rejects_everything_else(q):
+    with pytest.raises(ValueError):
+        prime_power(q)
+
+
+def _moebius(n: int) -> int:
+    out, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_irreducible_monic_polynomials_match_gauss_count(p, d):
+    # (1/d) * sum over k | d of mu(d/k) * p**k monic irreducibles of degree d
+    gauss = sum(_moebius(d // k) * p**k for k in range(1, d + 1) if d % k == 0) // d
+    found = sum(
+        _is_irreducible(tuple((enc // p**k) % p for k in range(d)) + (1,), p)
+        for enc in range(p**d)
+    )
+    assert found == gauss
 
 
 def test_field_rejects_bad_parameters():

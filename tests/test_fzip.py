@@ -1,5 +1,6 @@
 """Tests for filtered Frobenius data: builders, tensor/dual, classification."""
 
+import json
 import random
 
 import pytest
@@ -467,3 +468,21 @@ def test_json_import_rejects_malformed_documents():
         fzip_from_json(good.replace('"frob_exp":1', '"frob_exp":2'))
     with pytest.raises(ValueError):
         fzip_from_json(good.replace('"q":2', '"q":3'))
+
+
+@pytest.mark.parametrize(
+    "side,spoil",
+    [
+        ("C", lambda item: item["cols"][0].pop()),
+        ("D", lambda item: item["cols"][0].pop()),
+        ("C", lambda item: item.pop("cols")),
+        ("D", lambda item: item.pop("i")),
+        ("phi", lambda item: item.pop("i")),
+    ],
+    ids=["short-C-column", "short-D-column", "no-C-cols", "no-D-i", "no-phi-i"],
+)
+def test_json_import_reports_short_columns_and_missing_keys_as_value_errors(side, spoil):
+    doc = json.loads(fzip_to_json(dieudonne_to_fzip(*ORDINARY)))
+    spoil(doc[side][-1])
+    with pytest.raises(ValueError):
+        fzip_from_json(json.dumps(doc))
