@@ -26,10 +26,11 @@ from .coxeter import create_weyl, longest_element, word_string
 from .ffield import get_field, is_prime, prime_power
 from .fzip import Undetermined, classify, enumerate_strata, fzip_from_json, fzip_type
 from .grouplab import (
+    InvariantError,
     TooLarge,
     counterexample_gl2,
     make_zip_datum,
-    zip_group_points,
+    zip_group_order,
     zip_orbit_census,
 )
 from .witt import check_reduction, make_ring, orbit_census_level
@@ -313,13 +314,14 @@ def cmd_orbits(cfg: RunConfig) -> int:
     for ext in p["exts"]:
         _progress(f"sweeping zip orbits over the degree-{ext} extension")
         census = zip_orbit_census(datum, ext)
-        pairs = len(zip_group_points(datum, ext))
-        assert all(r.size * r.stabilizer_order == pairs for r in census.orbits)
+        order_e = zip_group_order(datum, ext)
+        if any(r.size * r.stabilizer_order != order_e for r in census.orbits):
+            raise InvariantError("orbit size times stabilizer order is not |E|")
         censuses.append(
             {
                 "ext": census.ext,
                 "group_order": census.group_order,
-                "zip_group_order": pairs,
+                "zip_group_order": order_e,
                 "orbit_stabilizer_identity": "size * stabilizer_order == zip_group_order",
                 "orbits": [
                     {

@@ -806,13 +806,18 @@ def fzip_from_json(text: str) -> FZipConcrete:
         c_list, d_list, phi_list = data["C"], data["D"], data["phi"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing or malformed field: {exc}") from exc
+    if not all(isinstance(v, list) for v in (c_list, d_list, phi_list)):
+        raise ValueError("C, D and phi must be arrays")
     e = _exp_of(p, q)
     ff = get_field(p, e * ext_deg)
 
     def decode(coeffs) -> int:
         if not isinstance(coeffs, list):
             raise ValueError("field elements must be coefficient arrays")
-        return ff.element_from_coeffs([int(c) for c in coeffs])
+        try:
+            return ff.element_from_coeffs([int(c) for c in coeffs])
+        except TypeError as exc:
+            raise ValueError(f"malformed coefficient: {exc}") from exc
 
     def entry(item, key: str):
         try:
@@ -820,27 +825,35 @@ def fzip_from_json(text: str) -> FZipConcrete:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"missing or malformed field: {exc}") from exc
 
+    def integer(item, key: str) -> int:
+        try:
+            return int(entry(item, key))
+        except TypeError as exc:
+            raise ValueError(f"malformed field {key}: {exc}") from exc
+
     def space_pairs(items) -> tuple:
         out = []
         for item in items:
             cols = entry(item, "cols")
-            if any(not isinstance(col, list) or len(col) != n for col in cols):
+            if not isinstance(cols, list) or any(
+                not isinstance(col, list) or len(col) != n for col in cols
+            ):
                 raise ValueError("every column needs one entry per row")
             rows = tuple(
                 tuple(decode(col[r]) for col in cols) for r in range(n)
             ) if cols else _zero_space(n)
-            out.append((int(entry(item, "i")), rows))
+            out.append((integer(item, "i"), rows))
         return tuple(out)
 
     phi_pairs = []
     for item in phi_list:
-        if int(entry(item, "frob_exp")) != e:
+        if integer(item, "frob_exp") != e:
             raise ValueError("the recorded Frobenius power disagrees with q")
+        matrix = entry(item, "matrix")
+        if not isinstance(matrix, list) or any(not isinstance(row, list) for row in matrix):
+            raise ValueError("a phi matrix must be an array of rows")
         phi_pairs.append(
-            (
-                int(entry(item, "i")),
-                tuple(tuple(decode(x) for x in row) for row in entry(item, "matrix")),
-            )
+            (integer(item, "i"), tuple(tuple(decode(x) for x in row) for row in matrix))
         )
     return FZipConcrete(
         p, q, ext_deg, n, space_pairs(c_list), space_pairs(d_list), tuple(phi_pairs)

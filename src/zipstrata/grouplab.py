@@ -57,6 +57,10 @@ class TooLarge(ValueError):
     """An enumeration would exceed the exhaustion guard."""
 
 
+class InvariantError(AssertionError):
+    """A computed result breaks an identity it must satisfy; raised even under -O."""
+
+
 class InconsistentGrowth(ValueError):
     """Point counts do not follow a single polynomial growth law."""
 
@@ -398,27 +402,43 @@ class OrbitCensus:
         return totals
 
 
+def zip_group_order(datum: ZipDatumGroupLevel, ext: int = 1) -> int:
+    """|E| over the degree-`ext` extension: |U'| * |L| * |U|, from its closed form."""
+    if ext < 1:
+        raise ValueError("the extension degree must be positive")
+    return _layer_zip_order(_top_layer(datum), datum.n, datum.field.order**ext)
+
+
 def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
-    """Partition GL_n(F_{q^ext}) into zip-group orbits by exhaustive sweep."""
+    """Partition GL_n(F_{q^ext}) into zip-group orbits.
+
+    Each orbit is walked with the generators of `zip_generators`, applied as
+    row and column operations; the stabilizer order is |E| / |orbit| with |E|
+    from its closed form.  Orbits are seeded at the least uncovered point.
+    """
     ff = _points_field(datum, ext)
-    pairs = zip_group_points(datum, ext)
-    acting = tuple((pp, mat_inv(ff, p)) for pp, p in pairs)
-    remaining = set(gl_points(datum.n, ff))
-    group_order = len(remaining)
+    n = datum.n
+    order_e = zip_group_order(datum, ext)
+    moves = _zip_moves(datum, ext)
+    points = sorted(_flat(g) for g in gl_points(n, ff))
+    remaining = set(points)
     records = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {mat_mul(ff, mat_mul(ff, pp, seed), pinv) for pp, pinv in acting}
-        assert seed in orbit and orbit <= remaining
+    for seed in points:
+        if seed not in remaining:
+            continue
+        orbit = _walk_orbit(ff, moves, seed)
+        if not orbit <= remaining:
+            raise InvariantError("a zip orbit meets an orbit found before it")
         remaining -= orbit
-        assert len(pairs) % len(orbit) == 0
-        cell = bruhat_cell(datum, seed, ext).reduced_word()
-        records.append(
-            OrbitRecord(seed, len(orbit), len(pairs) // len(orbit), cell)
-        )
+        if order_e % len(orbit):
+            raise InvariantError(f"an orbit of {len(orbit)} points does not divide |E| = {order_e}")
+        rep = tuple(seed[i * n:(i + 1) * n] for i in range(n))
+        cell = bruhat_cell(datum, rep, ext).reduced_word()
+        records.append(OrbitRecord(rep, len(orbit), order_e // len(orbit), cell))
     records.sort(key=lambda r: (r.size, r.rep))
-    assert sum(r.size for r in records) == group_order
-    return OrbitCensus(ext, group_order, tuple(records))
+    if sum(r.size for r in records) != len(points):
+        raise InvariantError("the orbits do not exhaust GL_n")
+    return OrbitCensus(ext, len(points), tuple(records))
 
 
 def stabilizer(
@@ -763,34 +783,106 @@ def zip_orbit_search(
     ext: int = 1,
     guard: int = EXHAUSTION_GUARD,
 ) -> tuple[tuple[Mat, ...], int]:
-    """Breadth-first sweep of the zip orbit of g, reporting which targets it meets.
+    """Sweep the zip orbit of g, reporting which targets it meets.
 
-    Returns the targets found (in a fixed order) and the full orbit size.
+    Returns the targets found (in the order given) and the full orbit size;
+    an orbit with more than `guard` points raises TooLarge.
     """
     ff = _points_field(datum, ext)
-    gens = [
-        (pp, mat_inv(ff, p)) for pp, p in zip_generators(datum, ext)
-    ]
-    target_set = set(targets)
-    visited = {g}
-    queue = [g]
-    hits = set()
-    if g in target_set:
-        hits.add(g)
-    while queue:
-        cur = queue.pop()
-        for pp, pinv in gens:
-            nxt = mat_mul(ff, mat_mul(ff, pp, cur), pinv)
-            if nxt in visited:
-                continue
-            if len(visited) >= guard:
-                raise TooLarge("orbit sweep exceeded the exhaustion guard")
-            visited.add(nxt)
-            queue.append(nxt)
-            if nxt in target_set:
-                hits.add(nxt)
-    ordered = tuple(t for t in targets if t in hits)
-    return ordered, len(visited)
+    orbit = _walk_orbit(ff, _zip_moves(datum, ext), _flat(g), guard)
+    hits = tuple(t for t in targets if _flat(t) in orbit)
+    return hits, len(orbit)
+
+
+def _flat(m: Mat) -> tuple[int, ...]:
+    """The entries of m in row-major order; the orbit engine's point format."""
+    return tuple(itertools.chain.from_iterable(m))
+
+
+# A row or column operation on a flat row-major n*n matrix: with src None it
+# sets x[d] = scale[x[d]] for d in dst, otherwise x[d] += scale[x[s]] for the
+# paired positions.  scale[x] is c*x for the operation's scalar c.
+_Op = tuple[tuple[int, ...], Optional[tuple[int, ...]], tuple[int, ...]]
+
+
+def _elementary_entry(m: Mat) -> Optional[tuple[int, int, int]]:
+    """The one entry (i, j, value) where m differs from the identity, or None."""
+    n = len(m)
+    off = [(i, j, m[i][j]) for i in range(n) for j in range(n) if m[i][j] != (i == j)]
+    if len(off) > 1:
+        raise InvariantError("a zip generator must differ from the identity in one entry")
+    return off[0] if off else None
+
+
+def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ...]:
+    """The generators of `zip_generators` compiled to row and column operations.
+
+    (p', p) acts by g -> p' g p^{-1}: p' = 1 + c E_ij is a row operation and
+    p^{-1} = 1 - c E_ij a column operation, a diagonal entry a scales a row
+    by a or a column by 1/a.  Identity pairs (over F_2 the Levi scaling is 1)
+    and repeated moves (c = -c in characteristic 2) are dropped.
+    """
+    ff = _points_field(datum, ext)
+    n = datum.n
+    mul = ff.mul
+
+    def op(dst: range, src: Optional[range], c: int) -> _Op:
+        scale = tuple(mul(c, x) for x in range(ff.order))
+        return tuple(dst), None if src is None else tuple(src), scale
+
+    def row(i: int) -> range:
+        return range(i * n, i * n + n)
+
+    def col(j: int) -> range:
+        return range(j, n * n, n)
+
+    moves: dict[tuple[_Op, ...], None] = {}  # insertion-ordered set
+    for pp, p in zip_generators(datum, ext):
+        ops = []
+        left = _elementary_entry(pp)
+        if left is not None:
+            i, j, c = left
+            ops.append(op(row(i), None, c) if i == j else op(row(i), row(j), c))
+        right = _elementary_entry(p)
+        if right is not None:
+            i, j, c = right
+            ops.append(op(col(i), None, ff.inv(c)) if i == j else op(col(j), col(i), ff.neg(c)))
+        if ops:
+            moves[tuple(ops)] = None
+    return tuple(moves)
+
+
+def _walk_orbit(
+    field: FiniteField,
+    moves: Sequence[tuple[_Op, ...]],
+    start: tuple[int, ...],
+    guard: int = EXHAUSTION_GUARD,
+) -> set[tuple[int, ...]]:
+    """The orbit of a flat matrix under the group the moves generate."""
+    add, table = field.add, field._add_table  # no table above _TABLE_LIMIT elements
+    orbit = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for ops in moves:
+            x = list(cur)
+            for dst, src, scale in ops:
+                if src is None:
+                    for d in dst:
+                        x[d] = scale[x[d]]
+                elif table is None:
+                    for d, s in zip(dst, src):
+                        x[d] = add(x[d], scale[x[s]])
+                else:
+                    for d, s in zip(dst, src):
+                        x[d] = table[x[d]][scale[x[s]]]
+            nxt = tuple(x)
+            if nxt not in orbit:
+                if len(orbit) >= guard:
+                    raise TooLarge("orbit sweep exceeded the exhaustion guard")
+                orbit.add(nxt)
+                stack.append(nxt)
+    return orbit
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,11 @@ def test_json_import_rejects_malformed_documents():
         fzip_from_json(good.replace('"frob_exp":1', '"frob_exp":2'))
     with pytest.raises(ValueError):
         fzip_from_json(good.replace('"q":2', '"q":3'))
+    for key in ("C", "D", "phi"):
+        doc = json.loads(good)
+        doc[key] = 5
+        with pytest.raises(ValueError):
+            fzip_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -478,8 +483,15 @@ def test_json_import_rejects_malformed_documents():
         ("C", lambda item: item.pop("cols")),
         ("D", lambda item: item.pop("i")),
         ("phi", lambda item: item.pop("i")),
+        ("C", lambda item: item.update(cols=5)),
+        ("phi", lambda item: item.update(matrix=5)),
+        ("phi", lambda item: item.update(matrix=[5])),
+        ("D", lambda item: item.update(i=[1])),
     ],
-    ids=["short-C-column", "short-D-column", "no-C-cols", "no-D-i", "no-phi-i"],
+    ids=[
+        "short-C-column", "short-D-column", "no-C-cols", "no-D-i", "no-phi-i",
+        "scalar-cols", "scalar-matrix", "scalar-matrix-row", "list-D-i",
+    ],
 )
 def test_json_import_reports_short_columns_and_missing_keys_as_value_errors(side, spoil):
     doc = json.loads(fzip_to_json(dieudonne_to_fzip(*ORDINARY)))

@@ -6,9 +6,17 @@ Lang witnesses re-verified by hand, and dimension estimates recomputed from
 known point-count laws.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
+
+import zipstrata
 
 from zipstrata.coxeter import (
     create_weyl,
@@ -16,8 +24,9 @@ from zipstrata.coxeter import (
     longest_element,
     min_coset_reps,
 )
-from zipstrata.ffield import get_field, gl_order, mat_identity, mat_inv, mat_mul
+from zipstrata.ffield import FiniteField, get_field, gl_order, mat_identity, mat_inv, mat_mul
 from zipstrata.grouplab import (
+    _zip_moves,
     Gl2Counterexample,
     InconsistentGrowth,
     TooLarge,
@@ -36,6 +45,8 @@ from zipstrata.grouplab import (
     stratum_dimension_from_counts,
     stratum_point_count,
     stratum_point_counts,
+    zip_generators,
+    zip_group_order,
     zip_group_points,
     zip_orbit_census,
     zip_orbit_search,
@@ -210,6 +221,120 @@ def test_census_stabilizer_orders_match_a_brute_force_scan():
     for ext in (1, 2):
         for record in zip_orbit_census(d, ext).orbits:
             assert len(stabilizer(d, record.rep, ext)) == record.stabilizer_order
+
+
+def _all_block_types(n):
+    simples = range(1, n)
+    return chain.from_iterable(combinations(simples, k) for k in range(n))
+
+
+def test_zip_group_order_is_the_size_of_the_enumerated_group():
+    cases = [(n, F2, I, 1) for n in (2, 3) for I in _all_block_types(n)]
+    cases += [(2, F3, I, ext) for I in _all_block_types(2) for ext in (1, 2)]
+    for n, field, I, ext in cases:
+        d = make_zip_datum(n, field, I)
+        assert zip_group_order(d, ext) == len(zip_group_points(d, ext)), (n, I, ext)
+
+
+def _brute_force_census(d):
+    ff = d.field
+    acting = [(pp, mat_inv(ff, p)) for pp, p in zip_group_points(d)]
+    remaining = set(gl_points(d.n, ff))
+    records = []
+    while remaining:
+        orbit = {mat_mul(ff, mat_mul(ff, pp, min(remaining)), pinv) for pp, pinv in acting}
+        remaining -= orbit
+        rep = min(orbit)
+        cell = bruhat_cell(d, rep).reduced_word()
+        records.append((rep, len(orbit), len(acting) // len(orbit), cell))
+    return sorted(records, key=lambda r: (r[1], r[0]))
+
+
+def test_census_equals_the_brute_force_partition_for_every_twist_over_f4():
+    for frob_power in (0, 1, 2):
+        d = make_zip_datum(2, F4, (), frob_power=frob_power)
+        census = zip_orbit_census(d)
+        assert census.group_order == gl_order(2, 4)
+        assert [
+            (r.rep, r.size, r.stabilizer_order, r.cell) for r in census.orbits
+        ] == _brute_force_census(d)
+
+
+def _apply_ops(ops, x, field):
+    """Apply compiled row and column operations to a flat matrix, one by one."""
+    x = list(x)
+    for dst, src, scale in ops:
+        if src is None:
+            for d in dst:
+                x[d] = scale[x[d]]
+        else:
+            for d, s in zip(dst, src):
+                x[d] = field.add(x[d], scale[x[s]])
+    return tuple(x)
+
+
+@pytest.mark.parametrize(
+    "p,degree,n,I,frob_power,ext",
+    [
+        (2, 9, 2, (), None, 1),  # 512 elements: no addition or product tables
+        (2, 2, 3, (1,), 0, 1),  # untwisted
+        (2, 2, 2, (), 1, 1),  # twist by x -> x**2 over F_4
+        (3, 1, 3, (2,), None, 2),  # odd characteristic over an extension
+    ],
+)
+def test_compiled_moves_act_as_their_generator_matrices(p, degree, n, I, frob_power, ext):
+    d = make_zip_datum(n, get_field(p, degree), I, frob_power=frob_power)
+    ff = get_field(p, degree * ext)
+    rng = random.Random(20261018)
+    samples = [
+        tuple(tuple(rng.randrange(ff.order) for _ in range(n)) for _ in range(n))
+        for _ in range(50)
+    ]
+
+    def flat(m):
+        return tuple(chain.from_iterable(m))
+
+    fixed = tuple(flat(g) for g in samples)
+    expected = {
+        tuple(flat(mat_mul(ff, mat_mul(ff, pp, g), mat_inv(ff, p))) for g in samples)
+        for pp, p in zip_generators(d, ext)
+    }
+    moves = _zip_moves(d, ext)
+    images = [tuple(_apply_ops(ops, x, ff) for x in fixed) for ops in moves]
+    assert len(set(moves)) == len(moves), "duplicate moves are dropped"
+    assert fixed not in images, "moves that act as the identity are dropped"
+    assert set(images) == expected - {fixed}
+
+
+def test_census_without_addition_tables_matches_the_tabled_field():
+    bare = FiniteField(2, 2)
+    bare._add_table = None
+    for I in ((), (1,)):
+        tabled = zip_orbit_census(make_zip_datum(2, F4, I))
+        assert zip_orbit_census(make_zip_datum(2, bare, I)) == tabled
+
+
+def test_census_checks_survive_python_minus_o():
+    script = textwrap.dedent(
+        """
+        from zipstrata import grouplab
+        from zipstrata.ffield import get_field
+        assert False, "asserts must be off"
+        true_order = grouplab._layer_zip_order
+        grouplab._layer_zip_order = lambda layer, n, Q: true_order(layer, n, Q) + 1
+        try:
+            grouplab.zip_orbit_census(grouplab.make_zip_datum(2, get_field(2, 1), ()))
+        except grouplab.InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    src = str(Path(zipstrata.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("InvariantError:")
 
 
 # ---------------------------------------------------------------------------
