@@ -859,7 +859,7 @@ def _walk_orbit(
     guard: int = EXHAUSTION_GUARD,
 ) -> set[tuple[int, ...]]:
     """The orbit of a flat matrix under the group the moves generate."""
-    add, table = field.add, field._add_table  # no table above _TABLE_LIMIT elements
+    add = field.add
     orbit = {start}
     stack = [start]
     while stack:
@@ -870,12 +870,9 @@ def _walk_orbit(
                 if src is None:
                     for d in dst:
                         x[d] = scale[x[d]]
-                elif table is None:
-                    for d, s in zip(dst, src):
-                        x[d] = add(x[d], scale[x[s]])
                 else:
                     for d, s in zip(dst, src):
-                        x[d] = table[x[d]][scale[x[s]]]
+                        x[d] = add(x[d], scale[x[s]])
             nxt = tuple(x)
             if nxt not in orbit:
                 if len(orbit) >= guard:

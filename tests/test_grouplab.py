@@ -24,7 +24,7 @@ from zipstrata.coxeter import (
     longest_element,
     min_coset_reps,
 )
-from zipstrata.ffield import FiniteField, get_field, gl_order, mat_identity, mat_inv, mat_mul
+from zipstrata.ffield import get_field, gl_order, mat_identity, mat_inv, mat_mul
 from zipstrata.grouplab import (
     _zip_moves,
     Gl2Counterexample,
@@ -304,14 +304,6 @@ def test_compiled_moves_act_as_their_generator_matrices(p, degree, n, I, frob_po
     assert len(set(moves)) == len(moves), "duplicate moves are dropped"
     assert fixed not in images, "moves that act as the identity are dropped"
     assert set(images) == expected - {fixed}
-
-
-def test_census_without_addition_tables_matches_the_tabled_field():
-    bare = FiniteField(2, 2)
-    bare._add_table = None
-    for I in ((), (1,)):
-        tabled = zip_orbit_census(make_zip_datum(2, F4, I))
-        assert zip_orbit_census(make_zip_datum(2, bare, I)) == tabled
 
 
 def test_census_checks_survive_python_minus_o():
