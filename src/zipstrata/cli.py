@@ -11,6 +11,7 @@ Exit codes
 2   usage errors: unknown flags, missing required flags, invalid parameters
 3   domain errors: malformed input data, incompatible twists, oversized runs
 4   property-check failures: a purity or reduction check that ran and failed
+5   invariant errors: a computed result broke an identity it must satisfy
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .coxeter import create_weyl, longest_element, word_string
 from .ffield import get_field, is_prime, prime_power
 from .fzip import Undetermined, classify, enumerate_strata, fzip_from_json, fzip_type
 from .grouplab import (
+    InvariantError,
     TooLarge,
     counterexample_gl2,
     make_zip_datum,
@@ -49,6 +51,7 @@ __all__ = ["RunConfig", "main"]
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 CHECK_FAILED = 4
+INVARIANT_ERROR = 5
 
 
 @dataclass(frozen=True)
@@ -562,6 +565,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
+    except InvariantError as exc:
+        print(f"invariant error: {exc}", file=sys.stderr)
+        return INVARIANT_ERROR
 
 
 if __name__ == "__main__":

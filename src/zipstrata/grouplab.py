@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, log
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
     ParabolicType,
@@ -426,7 +426,7 @@ def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
     for seed in points:
         if seed not in remaining:
             continue
-        orbit = _walk_orbit(ff, moves, seed)
+        orbit = _walk_orbit(ff.add, moves, seed)
         if not orbit <= remaining:
             raise InvariantError("a zip orbit meets an orbit found before it")
         remaining -= orbit
@@ -789,7 +789,7 @@ def zip_orbit_search(
     an orbit with more than `guard` points raises TooLarge.
     """
     ff = _points_field(datum, ext)
-    orbit = _walk_orbit(ff, _zip_moves(datum, ext), _flat(g), guard)
+    orbit = _walk_orbit(ff.add, _zip_moves(datum, ext), _flat(g), guard)
     hits = tuple(t for t in targets if _flat(t) in orbit)
     return hits, len(orbit)
 
@@ -810,25 +810,27 @@ def _elementary_entry(m: Mat) -> Optional[tuple[int, int, int]]:
     n = len(m)
     off = [(i, j, m[i][j]) for i in range(n) for j in range(n) if m[i][j] != (i == j)]
     if len(off) > 1:
-        raise InvariantError("a zip generator must differ from the identity in one entry")
+        raise InvariantError("a generator must differ from the identity in one entry")
     return off[0] if off else None
 
 
-def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ...]:
-    """The generators of `zip_generators` compiled to row and column operations.
+def _compile_moves(
+    pairs: Iterable[tuple[Mat, Mat]], n: int, mul: Callable[[int, int], int], order: int
+) -> tuple[tuple[_Op, ...], ...]:
+    """Pairs (l, r) acting by g -> l g r, compiled to row and column operations.
 
-    (p', p) acts by g -> p' g p^{-1}: p' = 1 + c E_ij is a row operation and
-    p^{-1} = 1 - c E_ij a column operation, a diagonal entry a scales a row
-    by a or a column by 1/a.  Identity pairs (over F_2 the Levi scaling is 1)
-    and repeated moves (c = -c in characteristic 2) are dropped.
+    l and r differ from the identity in at most one entry, over integer codes
+    with one coded as 1 and zero as 0; mul multiplies codes in range(order).
+    l = 1 + c E_ij adds c times row j to row i, r = 1 + c E_ij adds c times
+    column i to column j, a diagonal entry c scales a row or a column.  Pairs
+    that are the identity on both sides and repeated moves are dropped.
     """
-    ff = _points_field(datum, ext)
-    n = datum.n
-    mul = ff.mul
+    tables: dict[int, tuple[int, ...]] = {}
 
     def op(dst: range, src: Optional[range], c: int) -> _Op:
-        scale = tuple(mul(c, x) for x in range(ff.order))
-        return tuple(dst), None if src is None else tuple(src), scale
+        if c not in tables:
+            tables[c] = tuple(mul(c, x) for x in range(order))
+        return tuple(dst), None if src is None else tuple(src), tables[c]
 
     def row(i: int) -> range:
         return range(i * n, i * n + n)
@@ -837,29 +839,57 @@ def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ..
         return range(j, n * n, n)
 
     moves: dict[tuple[_Op, ...], None] = {}  # insertion-ordered set
-    for pp, p in zip_generators(datum, ext):
+    for left, right in pairs:
         ops = []
-        left = _elementary_entry(pp)
-        if left is not None:
-            i, j, c = left
+        entry = _elementary_entry(left)
+        if entry is not None:
+            i, j, c = entry
             ops.append(op(row(i), None, c) if i == j else op(row(i), row(j), c))
-        right = _elementary_entry(p)
-        if right is not None:
-            i, j, c = right
-            ops.append(op(col(i), None, ff.inv(c)) if i == j else op(col(j), col(i), ff.neg(c)))
+        entry = _elementary_entry(right)
+        if entry is not None:
+            i, j, c = entry
+            ops.append(op(col(i), None, c) if i == j else op(col(j), col(i), c))
         if ops:
             moves[tuple(ops)] = None
     return tuple(moves)
 
 
+def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ...]:
+    """The generators (p', p) of `zip_generators`, acting by g -> p' g p^{-1}, as moves.
+
+    Over F_2 the Levi scaling is the identity pair and c = -c, so those pairs
+    compile to nothing or to a move already present.
+    """
+    ff = _points_field(datum, ext)
+
+    def inverse(m: Mat) -> Mat:
+        # p differs from the identity in one entry; inverting that entry
+        # alone keeps mat_inv out of each orbit search of classify
+        entry = _elementary_entry(m)
+        if entry is None:
+            return m
+        i, j, c = entry
+        c = ff.inv(c) if i == j else ff.neg(c)
+        return tuple(
+            tuple(c if (a, b) == (i, j) else v for b, v in enumerate(row))
+            for a, row in enumerate(m)
+        )
+
+    pairs = ((pp, inverse(p)) for pp, p in zip_generators(datum, ext))
+    return _compile_moves(pairs, datum.n, ff.mul, ff.order)
+
+
 def _walk_orbit(
-    field: FiniteField,
+    add: Callable[[int, int], int],
     moves: Sequence[tuple[_Op, ...]],
     start: tuple[int, ...],
     guard: int = EXHAUSTION_GUARD,
 ) -> set[tuple[int, ...]]:
-    """The orbit of a flat matrix under the group the moves generate."""
-    add = field.add
+    """The orbit of a flat matrix under the finite group the moves generate.
+
+    add adds two entry codes; the walk is shared by every orbit computation
+    of the package, over finite fields and over truncated Witt rings.
+    """
     orbit = {start}
     stack = [start]
     while stack:
@@ -1032,9 +1062,11 @@ def counterexample_gl2(q: int) -> Gl2Counterexample:
     u = ((1, 1), (0, 1))
     points = gl_points(2, field)
     orbit = {mat_mul(field, mat_mul(field, g, u), mat_inv(field, g)) for g in points}
-    assert len(orbit) == q * q - 1
+    if len(orbit) != q * q - 1:
+        raise InvariantError(f"the regular unipotent class has {len(orbit)} points, not q^2 - 1")
     identity = mat_identity(2)
-    assert identity not in orbit
+    if identity in orbit:
+        raise InvariantError("the regular unipotent class must not contain the identity")
     cone = set()
     for g in points:
         shifted = tuple(
@@ -1044,14 +1076,19 @@ def counterexample_gl2(q: int) -> Gl2Counterexample:
         square = mat_mul(field, shifted, shifted)
         if all(v == 0 for row in square for v in row):
             cone.add(g)
-    assert cone == orbit | {identity}
-    assert len(cone) == q * q
+    if cone != orbit | {identity}:
+        raise InvariantError("the unipotent cone must be the class plus the identity")
+    if len(cone) != q * q:
+        raise InvariantError(f"the unipotent cone has {len(cone)} points, not q^2")
     for t in range(1, field.order):
-        assert ((1, t), (0, 1)) in orbit
+        if ((1, t), (0, 1)) not in orbit:
+            raise InvariantError(f"the unipotent ((1, {t}), (0, 1)) is missing from the class")
     sizes = tuple(q ** (2 * s) - 1 for s in (1, 2, 3))
-    assert sizes[0] == len(orbit)
+    if sizes[0] != len(orbit):
+        raise InvariantError("the class count over F_q must equal the sweep")
     dim = dimension_estimate(sizes, q)
-    assert dim == 2
+    if dim != 2:
+        raise InvariantError(f"the regular unipotent class has dimension {dim}, not 2")
     return Gl2Counterexample(
         q=q,
         orbit_sizes=sizes,

@@ -26,9 +26,9 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .ffield import (
     FiniteField,
@@ -44,7 +44,17 @@ from .ffield import (
     mat_inv,
     smallest_irreducible,
 )
-from .grouplab import OrbitCensus, OrbitRecord, TooLarge
+from .grouplab import (
+    InvariantError,
+    OrbitCensus,
+    OrbitRecord,
+    TooLarge,
+    _compile_moves,
+    _flat,
+    _Op,
+    _walk_orbit,
+    gl_points,
+)
 
 __all__ = [
     "CENSUS_GUARD",
@@ -55,6 +65,7 @@ __all__ = [
     "SingularZ",
     "check_reduction",
     "display_action",
+    "display_group_order",
     "display_group_points",
     "display_orbit_partition",
     "frobenius",
@@ -245,7 +256,7 @@ class GaloisRingElement:
             if prod == ring.one:
                 return v
             v = v * (two - prod)
-        raise AssertionError("the Newton inverse iteration did not converge")
+        raise InvariantError("the Newton inverse iteration did not converge")
 
     def __repr__(self) -> str:  # pragma: no cover
         r = self.ring
@@ -278,7 +289,7 @@ def _teichmueller_modulus(p: int, d: int, m: int, f0: tuple[int, ...]) -> tuple[
             break
         t = nxt
     else:
-        raise AssertionError("the Teichmueller iteration did not converge")
+        raise InvariantError("the Teichmueller iteration did not converge")
     conjugates = [t]
     for _ in range(d - 1):
         conjugates.append(_coeff_pow(conjugates[-1], p, f0, q))
@@ -291,13 +302,16 @@ def _teichmueller_modulus(p: int, d: int, m: int, f0: tuple[int, ...]) -> tuple[
         poly = [
             tuple((a - b) % q for a, b in zip(u, v)) for u, v in zip(shifted, scaled)
         ]
-    assert len(poly) == d + 1 and poly[-1] == one
+    if len(poly) != d + 1 or poly[-1] != one:
+        raise InvariantError("the product over the conjugates must be monic of degree d")
     lifted = []
     for c in poly[:d]:
-        assert all(v == 0 for v in c[1:]), "conjugate symmetric functions must be constants"
+        if any(c[1:]):
+            raise InvariantError("conjugate symmetric functions must be constants")
         lifted.append(c[0])
     modulus = tuple(lifted) + (1,)
-    assert tuple(v % p for v in modulus) == f0
+    if tuple(v % p for v in modulus) != f0:
+        raise InvariantError("the lifted modulus must reduce to the residue modulus")
     return modulus
 
 
@@ -320,7 +334,8 @@ def make_ring(p: int, d: int, m: int) -> GaloisRing:
         modulus = _teichmueller_modulus(p, d, m, f0)
     ring = GaloisRing(p, d, m, modulus)
     gen = ring.element((0, 1) if d >= 2 else (0,))
-    assert gen ** (p**d) == gen, "the polynomial generator must be Teichmueller"
+    if gen ** (p**d) != gen:
+        raise InvariantError("the polynomial generator must be Teichmueller")
     return ring
 
 
@@ -454,7 +469,7 @@ def rmat_inv(ring: GaloisRing, a: RMat) -> RMat:
         if ax == ident:
             return x
         x = rmat_mul(ring, x, tuple(tuple(u - v for u, v in zip(ri, rj)) for ri, rj in zip(two_i, ax)))
-    raise AssertionError("the Newton matrix inverse did not converge")
+    raise InvariantError("the Newton matrix inverse did not converge")
 
 
 def _rmat_key(a: RMat) -> tuple[int, ...]:
@@ -521,15 +536,25 @@ class DisplayGroupElement:
         if (self.ring, self.n, self.d_block) != (other.ring, other.n, other.d_block):
             raise ValueError("the factors live in different display groups")
         ring = self.ring
+
+        def plus(x: RMat, y: RMat) -> RMat:
+            # x sums over the first d_block indices and y over the rest; with
+            # one block empty, its product has lost its width and is zero
+            if not self.d_block:
+                return y
+            if self.d_block == self.n:
+                return x
+            return _rmat_add(x, y)
+
         v_bx = _rmat_verschiebung(self.B_pre)
         v_by = _rmat_verschiebung(other.B_pre)
-        a = _rmat_add(rmat_mul(ring, self.A, other.A), rmat_mul(ring, v_bx, other.C))
-        b = _rmat_add(
+        a = plus(rmat_mul(ring, self.A, other.A), rmat_mul(ring, v_bx, other.C))
+        b = plus(
             rmat_mul(ring, _rmat_frobenius(self.A), other.B_pre),
             rmat_mul(ring, self.B_pre, _rmat_frobenius(other.D)),
         )
-        c = _rmat_add(rmat_mul(ring, self.C, other.A), rmat_mul(ring, self.D, other.C))
-        d = _rmat_add(rmat_mul(ring, self.C, v_by), rmat_mul(ring, self.D, other.D))
+        c = plus(rmat_mul(ring, self.C, other.A), rmat_mul(ring, self.D, other.C))
+        d = plus(rmat_mul(ring, self.C, v_by), rmat_mul(ring, self.D, other.D))
         return DisplayGroupElement(ring, self.n, self.d_block, a, b, c, d)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -605,18 +630,24 @@ def _invertible_blocks(ring: GaloisRing, n: int) -> list[RMat]:
     ]
 
 
-def display_group_points(ring: GaloisRing, n: int, d_block: int) -> tuple[DisplayGroupElement, ...]:
-    """Every element of the display group, enumerated block by block."""
+def _ring_gl_order(ring: GaloisRing, k: int) -> int:
+    """|GL_k(W_m(F_q))| = |GL_k(F_q)| * q**((m-1) k**2): units are lifts of units."""
+    q0 = ring.p**ring.d
+    return gl_order(k, q0) * q0 ** ((ring.m - 1) * k * k)
+
+
+def display_group_order(ring: GaloisRing, n: int, d_block: int) -> int:
+    """|G| from its closed form: |GL_db(W)| * |GL_(n-db)(W)| * |W|**(2 db (n-db)), db = d_block."""
     if not 0 <= d_block <= n:
         raise ValueError("the block size must lie between 0 and n")
     db, rest = d_block, n - d_block
-    q0 = ring.p**ring.d
-    unit_scale = ring.p ** ((ring.m - 1) * ring.d)
-    total = (
-        gl_order(db, q0) * unit_scale ** (db * db) if db else 1
-    ) * (
-        gl_order(rest, q0) * unit_scale ** (rest * rest) if rest else 1
-    ) * ring.size ** (2 * db * rest)
+    return _ring_gl_order(ring, db) * _ring_gl_order(ring, rest) * ring.size ** (2 * db * rest)
+
+
+def display_group_points(ring: GaloisRing, n: int, d_block: int) -> tuple[DisplayGroupElement, ...]:
+    """Every element of the display group, enumerated block by block."""
+    total = display_group_order(ring, n, d_block)
+    db, rest = d_block, n - d_block
     scan = max(ring.size ** (db * db), ring.size ** (rest * rest))
     if total > CENSUS_GUARD or scan > CENSUS_GUARD:
         raise TooLarge(f"the display group has {total} points")
@@ -626,31 +657,157 @@ def display_group_points(ring: GaloisRing, n: int, d_block: int) -> tuple[Displa
             for b in _all_blocks(ring, db, rest):
                 for c in _all_blocks(ring, rest, db):
                     out.append(DisplayGroupElement(ring, n, d_block, a, b, c, d))
-    assert len(out) == total
+    if len(out) != total:
+        raise InvariantError(f"enumerated {len(out)} display group points, expected {total}")
     return tuple(out)
 
 
+def _unit_generators(ring: GaloisRing) -> list[GaloisRingElement]:
+    """A small generating set of the unit group, greedy over the units in key order."""
+    gens: list[GaloisRingElement] = []
+    group = {ring.one}
+    for u in ring.units():
+        if u in group:
+            continue
+        gens.append(u)
+        stack = list(group)
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = x * g
+                if y not in group:
+                    group.add(y)
+                    stack.append(y)
+    return gens
+
+
+def _display_generators(ring: GaloisRing, n: int, d_block: int) -> tuple[DisplayGroupElement, ...]:
+    """A generating set of the display group.
+
+    The block-diagonal elements (A, 0, 0, 1) and (1, 0, 0, D), with A and D
+    running over the transvections 1 + x**t E_ij and the scalings diag(u, 1,
+    ...) for u in a generating set of the units, the upper elements
+    (1, x**t E_ij, 0, 1) and the lower elements (1, 0, x**t E_ij, 1).  They
+    generate: (A, B~, C, D) is lower (C A^-1) times diagonal (A, D - C
+    V(sigma(A)^-1 B~)) times upper (sigma(A)^-1 B~), and the diagonal factor
+    has the residue of diag(A, D), so it is invertible.
+    """
+    basis = [ring.element((0,) * t + (1,)) for t in range(ring.d)]  # x**t
+    units = _unit_generators(ring)
+    ident = identity_display(ring, n, d_block)
+    db, rest = d_block, n - d_block
+
+    def with_entry(m: RMat, i: int, j: int, c: GaloisRingElement) -> RMat:
+        return tuple(
+            tuple(c if (a, b) == (i, j) else v for b, v in enumerate(row))
+            for a, row in enumerate(m)
+        )
+
+    def linear(one: RMat) -> list[RMat]:
+        k = len(one)
+        out = [
+            with_entry(one, i, j, c) for i in range(k) for j in range(k) if i != j for c in basis
+        ]
+        if k:
+            out += [with_entry(one, 0, 0, u) for u in units]
+        return out
+
+    gens = [replace(ident, A=a) for a in linear(ident.A)]
+    gens += [replace(ident, D=d) for d in linear(ident.D)]
+    cells = [(i, j, c) for i in range(db) for j in range(rest) for c in basis]
+    gens += [replace(ident, B_pre=with_entry(ident.B_pre, i, j, c)) for i, j, c in cells]
+    cells = [(i, j, c) for i in range(rest) for j in range(db) for c in basis]
+    gens += [replace(ident, C=with_entry(ident.C, i, j, c)) for i, j, c in cells]
+    return tuple(gens)
+
+
+# The orbit kernel of grouplab runs on integer codes: an element with
+# coefficients c_k is coded as sum(c_k * (p**m)**k), so one is 1 and zero is 0.
+
+
+def _code(x: GaloisRingElement) -> int:
+    q = x.ring.char
+    return sum(c * q**k for k, c in enumerate(x.coeffs))
+
+
+def _elements_by_code(ring: GaloisRing) -> list[GaloisRingElement]:
+    out = [ring.zero] * ring.size
+    for x in ring.elements():
+        out[_code(x)] = x
+    return out
+
+
+def _code_add(ring: GaloisRing) -> Callable[[int, int], int]:
+    """Addition of codes: coefficientwise modulo p**m."""
+    q, d = ring.char, ring.d
+    if d == 1:  # Z/p**m, the rings of every level-m census in the benchmark
+        return lambda a, b: (a + b) % q
+
+    def add(a: int, b: int) -> int:
+        out, shift = 0, 1
+        for _ in range(d):
+            out += (a + b) % q * shift
+            a //= q
+            b //= q
+            shift *= q
+        return out
+
+    return add
+
+
+def _display_moves(
+    ring: GaloisRing, n: int, d_block: int, elements: Sequence[GaloisRingElement]
+) -> tuple[tuple[_Op, ...], ...]:
+    """Each generator x compiled from the coded pair (iota(x), sigma_mu(x)**-1)."""
+
+    def coded(a: RMat) -> Mat:
+        return tuple(tuple(_code(v) for v in row) for row in a)
+
+    pairs = (
+        (coded(iota(x)), coded(rmat_inv(ring, sigma_mu(x))))
+        for x in _display_generators(ring, n, d_block)
+    )
+    return _compile_moves(pairs, n, lambda a, b: _code(elements[a] * elements[b]), ring.size)
+
+
 def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[frozenset, ...]:
-    """Partition the invertible n-by-n matrices into display-group orbits."""
+    """Partition the invertible n-by-n matrices into display-group orbits.
+
+    Each orbit is walked with the display group's generators, applied as row
+    and column operations on integer-coded matrices, and seeded at the least
+    uncovered point; |G| comes from its closed form.
+    """
     space = ring.size ** (n * n)
     if space > CENSUS_GUARD:
         raise TooLarge(f"the level-{ring.m} matrix space has {space} points")
-    points = _invertible_blocks(ring, n)
-    acting = [
-        (iota(x), rmat_inv(ring, sigma_mu(x)))
-        for x in display_group_points(ring, n, d_block)
-    ]
+    order = display_group_order(ring, n, d_block)
+    elements = _elements_by_code(ring)
+    moves = _display_moves(ring, n, d_block, elements)
+    add = _code_add(ring)
+    lifts: list[list[int]] = [[] for _ in range(ring.residue_field.order)]
+    for c, x in enumerate(elements):
+        lifts[x.residue()].append(c)
+    points = sorted(
+        z for g in gl_points(n, ring.residue_field)
+        for z in itertools.product(*(lifts[v] for v in _flat(g)))
+    )
     remaining = set(points)
     orbits = []
-    while remaining:
-        seed = min(remaining, key=_rmat_key)
-        orbit = frozenset(
-            rmat_mul(ring, rmat_mul(ring, left, seed), right) for left, right in acting
-        )
-        assert seed in orbit and orbit <= remaining
-        assert len(acting) % len(orbit) == 0
+    for seed in points:
+        if seed not in remaining:
+            continue
+        orbit = _walk_orbit(add, moves, seed)
+        if not orbit <= remaining:
+            raise InvariantError("a display orbit meets an orbit found before it")
         remaining -= orbit
-        orbits.append(orbit)
+        if order % len(orbit):
+            raise InvariantError(f"an orbit of {len(orbit)} points does not divide |G| = {order}")
+        orbits.append(frozenset(
+            tuple(tuple(elements[c] for c in z[i * n:(i + 1) * n]) for i in range(n))
+            for z in orbit
+        ))
+    if sum(len(o) for o in orbits) != _ring_gl_order(ring, n):
+        raise InvariantError(f"the orbits do not exhaust GL_{n} over the ring")
     orbits.sort(key=lambda o: (len(o), _rmat_key(min(o, key=_rmat_key))))
     return tuple(orbits)
 
@@ -671,11 +828,11 @@ def orbit_census_level(n: int, p: int, d: int, m: int, d_block: int = 1) -> Orbi
     _census_guard(n, p, d, m)
     ring = make_ring(p, d, m)
     partition = display_orbit_partition(ring, n, d_block)
-    group = display_group_points(ring, n, d_block)
+    order = display_group_order(ring, n, d_block)
     records = []
     for orbit in partition:
         rep = min(orbit, key=_rmat_key)
-        records.append(OrbitRecord(rep, len(orbit), len(group) // len(orbit), None))
+        records.append(OrbitRecord(rep, len(orbit), order // len(orbit), None))
     total = sum(r.size for r in records)
     return OrbitCensus(m, total, tuple(records))
 

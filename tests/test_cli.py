@@ -4,18 +4,21 @@ Every test drives ``zipstrata.cli.main`` in-process with an argv list and
 inspects the exit code plus the captured result stream.  The contract under
 test: results are byte-deterministic, progress stays on stderr, exit code 0
 means success or a passing check, 2 flags usage errors, 3 flags domain
-errors, and 4 flags a property check that ran and failed.
+errors, 4 flags a property check that ran and failed, and 5 flags a result
+that broke an invariant.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from zipstrata.cli import RunConfig, main
 from zipstrata.fzip import dieudonne_to_fzip, fzip_to_json
+from zipstrata.grouplab import InvariantError
 
 ORDINARY = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
 SUPERSINGULAR = (((0, 1), (0, 0)), ((0, 1), (0, 0)))
@@ -318,6 +321,43 @@ def test_witt_parameter_validation_exits_with_code_two(capsys):
     assert run(
         capsys, "witt", "--p", "2", "--d", "1", "--m", "2", "--n", "2", "--d-block", "3"
     )[0] == 2
+
+
+# sha256 of stdout, captured before the display orbits were walked with
+# generators; the census and the reduction check must keep these bytes
+WITT_DIGESTS = {
+    "--p 2 --d 1 --m 3 --n 2": "f3f6b905834d00bad797365d1576b606115a45baf2060b0470cb7089786d1c22",
+    "--p 2 --d 1 --m 2 --n 2 --d-block 0": "6f8f4a8236e1c7a52775e0f231f399a890428d2e9aaf7736ce20a6360711c608",
+    "--p 3 --d 1 --m 2 --n 2 --check-reduction": "58b7e0d7058e090acb06ed84856b6274963cce4fc0aed71fd9f47e1041109e0f",
+}
+
+
+@pytest.mark.parametrize("flags", list(WITT_DIGESTS))
+def test_witt_output_bytes_are_pinned(capsys, flags):
+    code, out, _ = run(capsys, "witt", *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WITT_DIGESTS[flags]
+
+
+def test_witt_census_at_level_three_pairs_sizes_with_stabilizers(capsys):
+    code, out, _ = run(capsys, "witt", "--p", "2", "--d", "1", "--m", "3", "--n", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["group_order"] == 1536
+    pairs = [(o["size"], o["stabilizer_order"]) for o in payload["orbits"]]
+    assert sorted(pairs) == [(32, 32)] * 16 + [(64, 16)] * 16
+
+
+def test_invariant_errors_exit_with_code_five_and_no_traceback(capsys, monkeypatch):
+    def broken(*args):
+        raise InvariantError("the orbits do not exhaust GL_2 over the ring")
+
+    monkeypatch.setattr("zipstrata.cli.orbit_census_level", broken)
+    code, out, err = run(capsys, "witt", "--p", "2", "--d", "1", "--m", "2", "--n", "2")
+    assert code == 5
+    assert out == ""
+    assert err.splitlines()[-1] == "invariant error: the orbits do not exhaust GL_2 over the ring"
+    assert "Traceback" not in err
 
 
 def test_witt_oversized_sweeps_are_domain_errors(capsys):

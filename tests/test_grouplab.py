@@ -616,3 +616,24 @@ def test_the_counterexample_rejects_non_prime_powers():
         counterexample_gl2(6)
     with pytest.raises(ValueError):
         counterexample_gl2(1)
+
+
+def test_counterexample_checks_survive_python_minus_o():
+    script = textwrap.dedent(
+        """
+        from zipstrata import grouplab
+        assert False, "asserts must be off"
+        grouplab.dimension_estimate = lambda counts, q: 3
+        try:
+            grouplab.counterexample_gl2(2)
+        except grouplab.InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    src = str(Path(zipstrata.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("InvariantError:")

@@ -2,10 +2,17 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import zipstrata
 from zipstrata.ffield import get_field, mat_inv, mat_mul, smallest_irreducible
 from zipstrata.grouplab import TooLarge, gl_points, make_zip_datum, zip_group_points
 from zipstrata.witt import (
@@ -15,7 +22,13 @@ from zipstrata.witt import (
     NotInGroup,
     SingularZ,
     check_reduction,
+    _code,
+    _code_add,
+    _display_generators,
+    _display_moves,
+    _elements_by_code,
     display_action,
+    display_group_order,
     display_group_points,
     display_orbit_partition,
     frobenius,
@@ -27,6 +40,7 @@ from zipstrata.witt import (
     residue_matrix,
     ring_matrix,
     rmat_identity,
+    rmat_inv,
     rmat_is_invertible,
     rmat_mul,
     sigma_mu,
@@ -410,3 +424,149 @@ def test_census_guard_refuses_oversized_spaces():
         check_reduction(3, 2, 1, 4)
     with pytest.raises(TooLarge, match="display group"):
         display_group_points(GR81, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the generator-driven display orbit engine
+# ---------------------------------------------------------------------------
+
+# F_2, F_4, Z/4, Z/8, Z/9 as (p, d, m)
+ENGINE_RINGS = [(2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2)]
+ENGINE_CASES = [(pdm, d_block) for pdm in ENGINE_RINGS for d_block in (0, 1, 2)]
+
+
+@lru_cache(maxsize=None)
+def display_group(pdm, d_block):
+    return display_group_points(make_ring(*pdm), 2, d_block)
+
+
+@pytest.mark.parametrize("pdm,d_block", ENGINE_CASES)
+def test_display_generators_generate_exactly_the_display_group(pdm, d_block):
+    ring = make_ring(*pdm)
+    gens = _display_generators(ring, 2, d_block)
+    closure = {identity_display(ring, 2, d_block)}
+    stack = list(closure)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = x * g
+            if y not in closure:
+                closure.add(y)
+                stack.append(y)
+    group = display_group(pdm, d_block)
+    assert closure == set(group)
+    assert display_group_order(ring, 2, d_block) == len(group)
+
+
+def test_unit_scalings_use_a_greedy_generating_set_of_the_units():
+    gens = _display_generators(make_ring(2, 1, 3), 1, 1)
+    assert [x.A[0][0].coeffs for x in gens] == [(3,), (5,)]
+
+
+@pytest.mark.parametrize("pdm,d_block", ENGINE_CASES)
+def test_display_orbit_partition_equals_the_whole_group_partition(pdm, d_block):
+    # brute force over indices into ring.elements(), with the ring's tables
+    ring = make_ring(*pdm)
+    cells = list(ring.elements())
+    index = {x: k for k, x in enumerate(cells)}
+    add = [[index[x + y] for y in cells] for x in cells]
+    mul = [[index[x * y] for y in cells] for x in cells]
+
+    def ix(z):
+        return tuple(tuple(index[v] for v in row) for row in z)
+
+    def mm(x, y):
+        return tuple(
+            tuple(add[mul[x[i][0]][y[0][j]]][mul[x[i][1]][y[1][j]]] for j in (0, 1))
+            for i in (0, 1)
+        )
+
+    group = display_group(pdm, d_block)
+    acting = [(ix(iota(x)), ix(rmat_inv(ring, sigma_mu(x)))) for x in group]
+    flats = itertools.product(ring.elements(), repeat=4)
+    remaining = {ix(z) for z in ((f[0:2], f[2:4]) for f in flats) if rmat_is_invertible(ring, z)}
+    brute = set()
+    while remaining:
+        seed = next(iter(remaining))
+        orbit = frozenset(mm(mm(a, seed), b) for a, b in acting)
+        remaining -= orbit
+        brute.add(orbit)
+    partition = display_orbit_partition(ring, 2, d_block)
+    assert len(partition) == len(brute)
+    assert {frozenset(ix(z) for z in orbit) for orbit in partition} == brute
+
+
+def test_element_codes_are_a_bijection_that_adds_coefficientwise():
+    for pdm in ((2, 1, 3), (3, 1, 2), (2, 2, 1), (2, 2, 2)):
+        ring = make_ring(*pdm)
+        elements = _elements_by_code(ring)
+        assert [_code(x) for x in elements] == list(range(ring.size))
+        assert (_code(ring.zero), _code(ring.one)) == (0, 1)
+        add = _code_add(ring)
+        for x in elements:
+            for y in elements:
+                assert add(_code(x), _code(y)) == _code(x + y)
+
+
+def _apply_ops(ops, x, add):
+    x = list(x)
+    for dst, src, scale in ops:
+        if src is None:
+            for d in dst:
+                x[d] = scale[x[d]]
+        else:
+            for d, s in zip(dst, src):
+                x[d] = add(x[d], scale[x[s]])
+    return tuple(x)
+
+
+@pytest.mark.parametrize("pdm", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("d_block", [0, 1, 2])
+def test_compiled_display_moves_act_as_their_generators(pdm, d_block):
+    ring = make_ring(*pdm)
+    cells = list(ring.elements())
+    rng = random.Random(41)
+    zs = []
+    while len(zs) < 50:
+        z = tuple(tuple(rng.choice(cells) for _ in range(2)) for _ in range(2))
+        if rmat_is_invertible(ring, z):
+            zs.append(z)
+
+    def coded(z):
+        return tuple(_code(v) for row in z for v in row)
+
+    fixed = tuple(coded(z) for z in zs)
+    expected = {
+        tuple(coded(rmat_mul(ring, rmat_mul(ring, left, z), right)) for z in zs)
+        for left, right in (
+            (iota(x), rmat_inv(ring, sigma_mu(x))) for x in _display_generators(ring, 2, d_block)
+        )
+    }
+    moves = _display_moves(ring, 2, d_block, _elements_by_code(ring))
+    add = _code_add(ring)
+    images = [tuple(_apply_ops(ops, z, add) for z in fixed) for ops in moves]
+    assert len(set(moves)) == len(moves)
+    assert set(images) | {fixed} == expected | {fixed}
+
+
+def test_display_partition_checks_survive_python_minus_o():
+    script = textwrap.dedent(
+        """
+        from zipstrata import witt
+        from zipstrata.grouplab import InvariantError
+        assert False, "asserts must be off"
+        true_order = witt.display_group_order
+        witt.display_group_order = lambda ring, n, d_block: true_order(ring, n, d_block) + 1
+        try:
+            witt.display_orbit_partition(witt.make_ring(2, 1, 2), 2, 1)
+        except InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    src = str(Path(zipstrata.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("InvariantError:")
