@@ -825,12 +825,10 @@ def _compile_moves(
     column i to column j, a diagonal entry c scales a row or a column.  Pairs
     that are the identity on both sides and repeated moves are dropped.
     """
-    tables: dict[int, tuple[int, ...]] = {}
 
     def op(dst: range, src: Optional[range], c: int) -> _Op:
-        if c not in tables:
-            tables[c] = tuple(mul(c, x) for x in range(order))
-        return tuple(dst), None if src is None else tuple(src), tables[c]
+        scale = tuple(mul(c, x) for x in range(order))
+        return tuple(dst), None if src is None else tuple(src), scale
 
     def row(i: int) -> range:
         return range(i * n, i * n + n)

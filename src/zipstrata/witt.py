@@ -620,14 +620,20 @@ def _all_blocks(ring: GaloisRing, rows: int, cols: int) -> list[RMat]:
 
 
 def _invertible_blocks(ring: GaloisRing, n: int) -> list[RMat]:
-    if n == 0:
-        return [()]
-    ff = ring.residue_field
-    return [
-        z
-        for z in _all_blocks(ring, n, n)
-        if mat_is_invertible(ff, residue_matrix(ring, z))
-    ]
+    """The invertible n-by-n matrices over the ring, in key order.
+
+    A matrix is invertible exactly when its residue is, so these are the
+    entrywise lifts of the points of GL_n over the residue field.
+    """
+    lifts: list[list[GaloisRingElement]] = [[] for _ in range(ring.residue_field.order)]
+    for x in ring.elements():
+        lifts[x.residue()].append(x)
+    blocks = (
+        tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        for g in gl_points(n, ring.residue_field)
+        for flat in itertools.product(*(lifts[v] for v in _flat(g)))
+    )
+    return sorted(blocks, key=_rmat_key)
 
 
 def _ring_gl_order(ring: GaloisRing, k: int) -> int:
@@ -740,8 +746,6 @@ def _elements_by_code(ring: GaloisRing) -> list[GaloisRingElement]:
 def _code_add(ring: GaloisRing) -> Callable[[int, int], int]:
     """Addition of codes: coefficientwise modulo p**m."""
     q, d = ring.char, ring.d
-    if d == 1:  # Z/p**m, the rings of every level-m census in the benchmark
-        return lambda a, b: (a + b) % q
 
     def add(a: int, b: int) -> int:
         out, shift = 0, 1
@@ -784,13 +788,7 @@ def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[fro
     elements = _elements_by_code(ring)
     moves = _display_moves(ring, n, d_block, elements)
     add = _code_add(ring)
-    lifts: list[list[int]] = [[] for _ in range(ring.residue_field.order)]
-    for c, x in enumerate(elements):
-        lifts[x.residue()].append(c)
-    points = sorted(
-        z for g in gl_points(n, ring.residue_field)
-        for z in itertools.product(*(lifts[v] for v in _flat(g)))
-    )
+    points = [tuple(_code(v) for row in z for v in row) for z in _invertible_blocks(ring, n)]
     remaining = set(points)
     orbits = []
     for seed in points:
