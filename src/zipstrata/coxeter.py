@@ -2,19 +2,27 @@
 
 An element is stored in window notation: ``window[i-1] = w(i)`` with signed
 integer values, plain permutations in type A and an even number of sign
-changes in type D.  Lengths and descents are computed by acting on roots, so
-every convention in this module is forced by the root systems themselves.
+changes in type D.  Lengths and descents are read from the window by the
+signed-permutation formulas: with the values ordered 1 < 2 < ... < N < -N <
+... < -1, a positive root e_i - e_j (i < j) is sent negative iff w(i) comes
+after w(j), e_i + e_j iff w(i) comes after -w(j), and e_i iff w(i) < 0.  The
+test suite checks these against the action on roots.
 
 Bruhat order comes in two independent implementations that the test suite
-plays against each other: a direct criterion (rank-matrix dominance in type A,
-dominance of the doubled permutation in types B and C, cached cover closure in
-type D) and the subword characterisation.
+plays against each other: a direct criterion and the subword
+characterisation.  The direct criterion compares one integer per element,
+cached on the element.  In types A, B and C that integer is the rank matrix
+(of the doubled permutation in types B and C) packed into fixed-width fields
+with one guard bit each, so that entrywise dominance is a single
+subtraction.  In type D it is the element's Bruhat down-set as a bitmask
+over the positions in ``elements()``, built once per group by closing the
+covering relation; v <= w iff the down-set of v lies inside that of w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -23,6 +31,11 @@ ENUMERATION_GUARD = 2_000_000
 FAMILIES = ("A", "B", "C", "D")
 
 Root = tuple[int, ...]
+Window = tuple[int, ...]
+
+
+class InvariantError(AssertionError):
+    """A computed result breaks an identity it must satisfy; raised even under -O."""
 
 
 @dataclass(frozen=True)
@@ -183,16 +196,10 @@ class WeylElement:
         if fam == "D" and negatives % 2:
             raise ValueError("type D needs an even number of sign changes")
 
-    def apply(self, value: int) -> int:
-        out = self.window[abs(value) - 1]
-        return out if value > 0 else -out
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.group != other.group:
             raise ValueError("elements of different groups")
-        return WeylElement(
-            self.group, tuple(self.apply(v) for v in other.window)
-        )
+        return WeylElement(self.group, _compose(self.window, other.window))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.window)
@@ -208,9 +215,13 @@ class WeylElement:
                 out[abs(t) - 1] = c if t > 0 else -c
         return tuple(out)
 
-    @property
+    @cached_property
     def length(self) -> int:
-        return _length(self)
+        return _length(self.group.family, self.window)
+
+    @cached_property
+    def _bruhat_key(self) -> int:
+        return _window_bruhat_key(self.group, self.window)
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.window, start=1))
@@ -240,39 +251,74 @@ def root_is_positive(root: Root) -> bool:
     raise ValueError("zero vector is not a root")
 
 
-@lru_cache(maxsize=None)
-def _length(w: WeylElement) -> int:
-    return sum(
-        1 for r in w.group.positive_roots() if not root_is_positive(w.act_on_root(r))
-    )
+def _compose(x: Sequence[int], y: Sequence[int]) -> Window:
+    """Window of the product x * y (apply y first) of two signed windows."""
+    return tuple(x[v - 1] if v > 0 else -x[-v - 1] for v in y)
+
+
+def _after(a: int, b: int) -> bool:
+    """Whether a comes after b in the order 1 < 2 < ... < N < -N < ... < -1."""
+    return a > b if (a > 0) == (b > 0) else a < 0
+
+
+def _length(family: str, window: Sequence[int]) -> int:
+    out = 0
+    for k, a in enumerate(window):
+        for b in window[k + 1 :]:
+            out += _after(a, b)
+            if family != "A":
+                out += _after(a, -b)
+        if a < 0 and family in ("B", "C"):
+            out += 1
+    return out
 
 
 def length(w: WeylElement) -> int:
     """Coxeter length: the number of positive roots sent negative."""
-    return _length(w)
+    return w.length
+
+
+def _window_descent(family: str, window: Sequence[int], i: int) -> bool:
+    """Whether s_i is a right descent: the image of its simple root is negative."""
+    if family == "A" or i < len(window):
+        return _after(window[i - 1], window[i])
+    if family == "D":
+        return _after(window[-2], -window[-1])
+    return window[-1] < 0
 
 
 def is_right_descent(w: WeylElement, i: int) -> bool:
-    return not root_is_positive(w.act_on_root(w.group.simple_root(i)))
+    return _window_descent(w.group.family, w.window, i)
 
 
 @lru_cache(maxsize=None)
 def _reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word, by greedy left-descent stripping."""
+    """Lexicographically smallest reduced word, by greedy left-descent stripping.
+
+    A left descent of w is a right descent of w**-1, and stripping s_i from
+    the left of w multiplies w**-1 by s_i on the right, which moves entries
+    of the inverse window.  Each step shortens w, so the loop is bounded by
+    the length of the longest element.
+    """
+    group = w.group
+    fam, n = group.family, group.rank
+    inv = list(w.inverse().window)
     word: list[int] = []
-    cur = w
-    while True:
-        inv = cur.inverse()
-        found = None
-        for i in range(1, w.group.rank + 1):
-            if is_right_descent(inv, i):
-                found = i
-                break
+    for _ in range(group.positive_root_count):
+        found = next(
+            (i for i in range(1, n + 1) if _window_descent(fam, inv, i)), None
+        )
         if found is None:
             break
         word.append(found)
-        cur = w.group.simple_reflection(found) * cur
-    assert cur.is_identity()
+        if fam == "A" or found < n:
+            inv[found - 1], inv[found] = inv[found], inv[found - 1]
+        elif fam == "D":
+            inv[n - 2], inv[n - 1] = -inv[n - 1], -inv[n - 2]
+        else:
+            inv[n - 1] = -inv[n - 1]
+    if inv != list(range(1, group.npoints + 1)):
+        raise InvariantError(f"descent stripping does not reduce {w!r} to the identity")
     return tuple(word)
 
 
@@ -428,7 +474,8 @@ def longest_element(group: WeylGroup) -> WeylElement:
     else:
         w = tuple(-i for i in range(1, n)) + (n,)
     out = WeylElement(group, w)
-    assert out.length == group.positive_root_count
+    if out.length != group.positive_root_count:
+        raise InvariantError(f"the longest element of {group} has the wrong length")
     return out
 
 
@@ -549,77 +596,128 @@ def min_double_coset_rep(
 
 
 @lru_cache(maxsize=None)
-def _rank_key_a(w: WeylElement) -> tuple[int, ...]:
-    N = len(w.window)
-    flat = []
-    for i in range(1, N + 1):
-        row = [0] * (N + 1)
-        for a in range(1, i + 1):
-            row[w.window[a - 1]] += 1
-        acc = 0
-        # entry j: how many of the first i values are >= j
-        for j in range(N, 0, -1):
-            acc += row[j]
-            flat.append(acc)
-    return tuple(flat)
+def _rank_packing(N: int) -> tuple[int, tuple[int, ...], int]:
+    """Row step, per-value row increments and guard mask of packed N x N rank keys.
+
+    Each entry of the rank matrix is a count in 0..N, stored in a field of
+    N.bit_length() bits topped by one guard bit.  Entries never carry into
+    each other, so ((kw | G) - kv) & G == G holds exactly when every entry of
+    kv is at most the matching entry of kw.
+    """
+    width = N.bit_length() + 1
+    field = (1 << width) - 1
+    units = tuple(((1 << (width * v)) - 1) // field for v in range(N + 1))
+    guard = (((1 << (width * N * N)) - 1) // field) << (width - 1)
+    return width * N, units, guard
 
 
-def _doubled_window(w: WeylElement) -> tuple[int, ...]:
+def _rank_key(values: Sequence[int]) -> int:
+    """Packed rank matrix of a permutation of 1..N.
+
+    Field j - 1 of row i counts the values >= j among the first i; row i is
+    row i - 1 plus a 1 in each of the first w(i) fields.
+    """
+    step, units, _ = _rank_packing(len(values))
+    key = row = shift = 0
+    for v in values:
+        row += units[v]
+        key |= row << shift
+        shift += step
+    return key
+
+
+def _doubled_window(window: Sequence[int]) -> Window:
     """Embed a signed permutation on n points as a plain one on 2n points.
 
     The dominance criterion for the doubled permutation is only valid when the
     sign flip generator acts on the first coordinate, so the element is first
     conjugated by the plain reversal, which carries one generating set to the
-    other and therefore transports Bruhat order exactly.
+    other and therefore transports Bruhat order exactly.  After that
+    conjugation the doubled permutation reads f(w(1)), ..., f(w(n)) followed
+    by 2n + 1 - f(w(n)), ..., 2n + 1 - f(w(1)), where f numbers the values in
+    the order 1 < ... < n < -n < ... < -1.
     """
-    n = len(w.window)
-    rho = WeylElement(w.group, tuple(range(n, 0, -1)))
-    w = rho * w * rho
-
-    def pos(v: int) -> int:
-        return v + n + 1 if v < 0 else v + n
-
-    out = []
-    for k in range(1, 2 * n + 1):
-        val = k - n - 1 if k <= n else k - n
-        out.append(pos(w.apply(val)))
-    return tuple(out)
+    top = 2 * len(window) + 1
+    first = [v if v > 0 else top + v for v in window]
+    return tuple(first) + tuple(top - f for f in reversed(first))
 
 
 @lru_cache(maxsize=None)
-def _rank_key_bc(w: WeylElement) -> tuple[int, ...]:
-    doubled = WeylElement(WeylGroup("A", 2 * len(w.window) - 1), _doubled_window(w))
-    return _rank_key_a(doubled)
+def _bruhat_downsets_d(group: WeylGroup) -> tuple[dict[Window, int], tuple[int, ...]]:
+    """Position of every window in ``elements()`` and every element's down-set.
 
-
-@lru_cache(maxsize=None)
-def _bruhat_downsets_d(group: WeylGroup) -> dict[WeylElement, frozenset[WeylElement]]:
-    """Transitive closure of the covering relation, built once per group."""
-    elements = sorted(_all_elements(group), key=lambda w: w.length)
-    reflections = group.reflections()
-    down: dict[WeylElement, set[WeylElement]] = {}
-    for v in elements:
-        acc = {v}
+    A down-set is a bitmask over those positions: the element itself plus the
+    down-sets of the elements it covers, i.e. t * v with t a reflection and
+    one less in length.  Elements are sorted by length, so each cover is
+    closed before the elements above it.
+    """
+    elements = _all_elements(group)
+    index = {w.window: k for k, w in enumerate(elements)}
+    lengths = [w.length for w in elements]
+    reflections = [t.window for t in group.reflections()]
+    down: list[int] = []
+    for k, v in enumerate(elements):
+        acc = 1 << k
         for t in reflections:
-            u = t * v
-            if u.length == v.length - 1:
+            u = index[_compose(t, v.window)]
+            if lengths[u] == lengths[k] - 1:
                 acc |= down[u]
-        down[v] = acc
-    return {w: frozenset(s) for w, s in down.items()}
+        down.append(acc)
+    return index, tuple(down)
+
+
+def _window_bruhat_key(group: WeylGroup, window: Sequence[int]) -> int:
+    if group.family == "A":
+        return _rank_key(window)
+    if group.family == "D":
+        index, down = _bruhat_downsets_d(group)
+        return down[index[tuple(window)]]
+    return _rank_key(_doubled_window(window))
+
+
+def _rank_guard(group: WeylGroup) -> int:
+    return _rank_packing(group.npoints if group.family == "A" else 2 * group.rank)[2]
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     """Direct Bruhat order test (no word enumeration)."""
     if v.group != w.group:
         raise ValueError("elements of different groups")
-    fam = v.group.family
-    if fam == "A":
-        kv, kw = _rank_key_a(v), _rank_key_a(w)
-    elif fam in ("B", "C"):
-        kv, kw = _rank_key_bc(v), _rank_key_bc(w)
-    else:
-        return v in _bruhat_downsets_d(v.group)[w]
-    return all(a <= b for a, b in zip(kv, kw))
+    kv, kw = v._bruhat_key, w._bruhat_key
+    if v.group.family == "D":
+        return kv & ~kw == 0
+    guard = _rank_guard(v.group)
+    return ((kw | guard) - kv) & guard == guard
+
+
+def bruhat_up_mask(
+    group: WeylGroup, lows: Iterable[Sequence[int]], highs: Sequence[WeylElement]
+) -> int:
+    """Bitmask of the positions j such that some window in lows is Bruhat-below highs[j].
+
+    In types A, B and C each key of lows is tested against each key of
+    highs.  In type D the lows become one mask of their positions, and
+    highs[j] qualifies iff its down-set meets that mask.
+    """
+    mask = 0
+    if group.family == "D":
+        index, _ = _bruhat_downsets_d(group)
+        positions = 0
+        for t in lows:
+            positions |= 1 << index[tuple(t)]
+        for j, w in enumerate(highs):
+            if w._bruhat_key & positions:
+                mask |= 1 << j
+        return mask
+    guard = _rank_guard(group)
+    low_keys = {_window_bruhat_key(group, t) for t in lows}
+    for j, w in enumerate(highs):
+        high = w._bruhat_key | guard
+        for low in low_keys:
+            if (high - low) & guard == guard:
+                mask |= 1 << j
+                break
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -678,7 +776,8 @@ def apply_diagram_automorphism(
     out = w.group.identity()
     for i in w.reduced_word():
         out = out * w.group.simple_reflection(images[i - 1])
-    assert out.length == w.length
+    if out.length != w.length:
+        raise InvariantError("a diagram automorphism must preserve length")
     return out
 
 

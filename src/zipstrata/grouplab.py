@@ -25,6 +25,7 @@ from math import factorial, log
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
+    InvariantError,
     ParabolicType,
     WeylElement,
     WeylGroup,
@@ -55,10 +56,6 @@ Pattern = frozenset  # of 0-based (row, col) positions allowed to be nonzero
 
 class TooLarge(ValueError):
     """An enumeration would exceed the exhaustion guard."""
-
-
-class InvariantError(AssertionError):
-    """A computed result breaks an identity it must satisfy; raised even under -O."""
 
 
 class InconsistentGrowth(ValueError):
@@ -716,7 +713,8 @@ def stratum_point_counts(
     carrier = min_coset_reps(datum.weyl, datum.I)
     counts = tuple((w, stratum_point_count(datum, w, ext)) for w in carrier)
     Q = datum.field.order**ext
-    assert sum(c for _, c in counts) == gl_order(datum.n, Q)
+    if sum(c for _, c in counts) != gl_order(datum.n, Q):
+        raise InvariantError("the stratum point counts do not sum to |GL_n(F_Q)|")
     return counts
 
 

@@ -419,10 +419,16 @@ def rmat_identity(ring: GaloisRing, n: int) -> RMat:
     )
 
 
-def rmat_mul(ring: GaloisRing, a: RMat, b: RMat) -> RMat:
-    if not b:
-        return tuple(() for _ in a)
-    cols = len(b[0])
+def rmat_mul(ring: GaloisRing, a: RMat, b: RMat, cols: int | None = None) -> RMat:
+    """The product a * b.
+
+    cols is the width of b.  It is read from b, except when b has no rows:
+    such a matrix does not record its width, so cols must then be given.
+    """
+    if b:
+        cols = len(b[0])
+    elif a and cols is None:
+        raise ValueError("the width of a right factor with no rows must be given")
     out = []
     for row in a:
         acc = [ring.zero] * cols
@@ -536,25 +542,22 @@ class DisplayGroupElement:
         if (self.ring, self.n, self.d_block) != (other.ring, other.n, other.d_block):
             raise ValueError("the factors live in different display groups")
         ring = self.ring
+        db, rest = self.d_block, self.n - self.d_block
 
-        def plus(x: RMat, y: RMat) -> RMat:
-            # x sums over the first d_block indices and y over the rest; with
-            # one block empty, its product has lost its width and is zero
-            if not self.d_block:
-                return y
-            if self.d_block == self.n:
-                return x
-            return _rmat_add(x, y)
+        def block(x1: RMat, y1: RMat, x2: RMat, y2: RMat, cols: int) -> RMat:
+            # x1 * y1 sums over the first d_block indices, x2 * y2 over the rest
+            return _rmat_add(
+                rmat_mul(ring, x1, y1, cols=cols), rmat_mul(ring, x2, y2, cols=cols)
+            )
 
         v_bx = _rmat_verschiebung(self.B_pre)
         v_by = _rmat_verschiebung(other.B_pre)
-        a = plus(rmat_mul(ring, self.A, other.A), rmat_mul(ring, v_bx, other.C))
-        b = plus(
-            rmat_mul(ring, _rmat_frobenius(self.A), other.B_pre),
-            rmat_mul(ring, self.B_pre, _rmat_frobenius(other.D)),
+        a = block(self.A, other.A, v_bx, other.C, db)
+        b = block(
+            _rmat_frobenius(self.A), other.B_pre, self.B_pre, _rmat_frobenius(other.D), rest
         )
-        c = plus(rmat_mul(ring, self.C, other.A), rmat_mul(ring, self.D, other.C))
-        d = plus(rmat_mul(ring, self.C, v_by), rmat_mul(ring, self.D, other.D))
+        c = block(self.C, other.A, self.D, other.C, db)
+        d = block(self.C, v_by, self.D, other.D, rest)
         return DisplayGroupElement(ring, self.n, self.d_block, a, b, c, d)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -20,11 +20,14 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .coxeter import (
+    InvariantError,
     ParabolicType,
+    Window,
     WeylElement,
     WeylGroup,
+    _compose,
     apply_diagram_automorphism,
-    bruhat_leq,
+    bruhat_up_mask,
     has_left_descent_in,
     longest_element,
     longest_element_parabolic,
@@ -133,9 +136,21 @@ def zip_from_cocharacter(
 
 
 @lru_cache(maxsize=None)
-def _twist_pairs(z: ZipCombinatorics) -> tuple[tuple[WeylElement, WeylElement], ...]:
+def _twist_pairs(z: ZipCombinatorics) -> tuple[tuple[Window, Window], ...]:
+    """Windows of (u, psi(u)**-1) for every u in W_I."""
     levi = parabolic_elements(z.group, z.I)
-    return tuple((u, z.psi(u).inverse()) for u in levi)
+    return tuple((u.window, z.psi(u).inverse().window) for u in levi)
+
+
+def _twisted_row(z: ZipCombinatorics, w_prime: WeylElement, highs: Sequence[WeylElement]) -> int:
+    """Bitmask of the positions j with w_prime <= highs[j] in the twisted order.
+
+    The translates u * w_prime * psi(u)**-1 are formed once, as windows, and
+    tested against every element of highs together.
+    """
+    wp = w_prime.window
+    translates = {_compose(_compose(u, wp), pu_inv) for u, pu_inv in _twist_pairs(z)}
+    return bruhat_up_mask(z.group, translates, highs)
 
 
 def _require_carrier_element(z: ZipCombinatorics, w: WeylElement) -> None:
@@ -151,7 +166,7 @@ def twisted_leq(z: ZipCombinatorics, w_prime: WeylElement, w: WeylElement) -> bo
     _require_carrier_element(z, w)
     if parabolic_order(z.group, z.I) > LEVI_ENUMERATION_GUARD:
         raise ValueError("Levi group too large to scan; the order is not available")
-    return any(bruhat_leq(u * w_prime * pu_inv, w) for u, pu_inv in _twist_pairs(z))
+    return _twisted_row(z, w_prime, (w,)) == 1
 
 
 @dataclass(frozen=True)
@@ -204,68 +219,68 @@ def stratum_poset(z: ZipCombinatorics) -> StratumPoset:
     dims = tuple(base + l for l in lengths)
     if parabolic_order(z.group, z.I) > LEVI_ENUMERATION_GUARD:
         return StratumPoset(z, carrier, None, lengths, dims, (), False)
-    pairs = _twist_pairs(z)
-    n = len(carrier)
-    rows: list[tuple[bool, ...]] = []
-    for wp in carrier:
-        translates = [u * wp * pu_inv for u, pu_inv in pairs]
-        rows.append(tuple(any(bruhat_leq(t, w) for t in translates) for w in carrier))
-    leq = tuple(rows)
-    _validate_order(carrier, lengths, leq)
-    covers = _covers_from_leq(leq)
-    return StratumPoset(z, carrier, leq, lengths, dims, covers, True)
+    rows = [_twisted_row(z, wp, carrier) for wp in carrier]
+    _validate_order(lengths, rows)
+    leq = _bool_rows(rows, len(carrier))
+    return StratumPoset(z, carrier, leq, lengths, dims, _covers_from_leq(rows), True)
 
 
-def _validate_order(
-    carrier: tuple[WeylElement, ...],
-    lengths: tuple[int, ...],
-    leq: tuple[tuple[bool, ...], ...],
-) -> None:
-    n = len(carrier)
-    below = [0] * n
-    for j in range(n):
-        mask = 0
-        for i in range(n):
-            if leq[i][j]:
-                mask |= 1 << i
-        below[j] = mask
-    for i in range(n):
-        assert leq[i][i], "order must be reflexive"
-        for j in range(n):
-            if leq[i][j]:
-                if i != j:
-                    assert not leq[j][i], "order must be antisymmetric"
-                    assert lengths[i] < lengths[j], "order must refine length"
-                assert below[i] & ~below[j] == 0, "order must be transitive"
-    minima = [j for j in range(n) if below[j] == 1 << j]
-    maxima = [i for i in range(n) if all(not leq[i][j] for j in range(n) if j != i)]
-    assert len(minima) == 1, "twisted order must have a unique minimum"
-    assert len(maxima) == 1, "twisted order must have a unique maximum"
+def _bit_rows(leq: Sequence[Sequence[bool]]) -> list[int]:
+    """Row i of a boolean relation as a bitmask: bit j is leq[i][j]."""
+    return [int("".join(map("01".__getitem__, reversed(row))), 2) for row in leq]
 
 
-def _covers_from_leq(leq: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, int], ...]:
-    n = len(leq)
-    strict = []
-    for j in range(n):
-        mask = 0
-        for i in range(n):
-            if leq[i][j] and i != j:
-                mask |= 1 << i
-        strict.append(mask)
+def _bool_rows(rows: Sequence[int], n: int) -> tuple[tuple[bool, ...], ...]:
+    """Inverse of _bit_rows for a relation on n points."""
+    return tuple(tuple(map("1".__eq__, format(m, f"0{n}b")[::-1])) for m in rows)
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _validate_order(lengths: Sequence[int], rows: Sequence[int]) -> None:
+    """Check that bit rows (bit j of rows[i] iff i <= j) form a bounded partial order."""
+    n = len(rows)
+    has_lower = 0
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        if not row & bit:
+            raise InvariantError("order must be reflexive")
+        above = row ^ bit
+        reach = row
+        for j in _bits(above):
+            if rows[j] & bit:
+                raise InvariantError("order must be antisymmetric")
+            if lengths[i] >= lengths[j]:
+                raise InvariantError("order must refine length")
+            reach |= rows[j]
+        if reach != row:
+            raise InvariantError("order must be transitive")
+        has_lower |= above
+    if has_lower.bit_count() != n - 1:
+        raise InvariantError("twisted order must have a unique minimum")
+    if sum(1 for row in rows if row.bit_count() == 1) != 1:
+        raise InvariantError("twisted order must have a unique maximum")
+
+
+def _covers_from_leq(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j), i != j, with i <= j and no k outside {i, j} between them.
+
+    rows are bit rows as in _validate_order.  The relation need not be an
+    order: a replayed file can carry any set of covers.
+    """
     covers = []
-    for j in range(n):
+    for i, row in enumerate(rows):
+        above = row & ~(1 << i)
         dominated = 0
-        m = strict[j]
-        while m:
-            low = m & -m
-            dominated |= strict[low.bit_length() - 1]
-            m ^= low
-        keep = strict[j] & ~dominated
-        while keep:
-            low = keep & -keep
-            covers.append((low.bit_length() - 1, j))
-            keep ^= low
-    return tuple(sorted(covers))
+        for k in _bits(above):
+            dominated |= rows[k] & ~(1 << k)
+        covers.extend((i, j) for j in _bits(above & ~dominated))
+    return tuple(covers)
 
 
 def closure(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylElement]:
@@ -283,13 +298,7 @@ def boundary_maximal(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylEleme
     poset._need_order()
     assert poset.leq is not None
     j = poset.index_of(w)
-    boundary = [i for i in range(len(poset.carrier)) if poset.leq[i][j] and i != j]
-    out = [
-        i
-        for i in boundary
-        if not any(poset.leq[i][k] for k in boundary if k != i)
-    ]
-    return frozenset(poset.carrier[i] for i in out)
+    return frozenset(poset.carrier[i] for i, k in poset.covers if k == j)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +326,18 @@ def _purity_from_relation(
     leq: Sequence[Sequence[bool]],
     words: Sequence[tuple[int, ...]],
 ) -> PurityReport:
-    n = len(lengths)
-    violations = []
-    for j in range(n):
-        boundary = [i for i in range(n) if leq[i][j] and i != j]
-        for i in boundary:
-            if any(leq[i][k] for k in boundary if k != i):
-                continue
-            if lengths[j] - lengths[i] != 1:
-                violations.append(
-                    PurityViolation(words[j], words[i], lengths[j], lengths[i])
-                )
-    return PurityReport(not violations, tuple(violations), n)
+    """Every maximal stratum i of the boundary of j must have length one less.
+
+    The maximal boundary strata of j are the i with (i, j) a cover of the
+    relation; violations are listed by j, then by i.
+    """
+    covers = sorted(_covers_from_leq(_bit_rows(leq)), key=lambda c: (c[1], c[0]))
+    violations = tuple(
+        PurityViolation(words[j], words[i], lengths[j], lengths[i])
+        for i, j in covers
+        if lengths[j] - lengths[i] != 1
+    )
+    return PurityReport(not violations, violations, len(lengths))
 
 
 def purity_check(z: ZipCombinatorics) -> PurityReport:
@@ -496,7 +505,5 @@ def import_poset(text: str) -> StratumPoset:
             if reach[a] | reach[b] != reach[b]:
                 reach[b] |= reach[a]
                 changed = True
-    leq = tuple(
-        tuple(bool(reach[j] >> i & 1) for j in range(n)) for i in range(n)
-    )
+    leq = tuple(zip(*_bool_rows(reach, n)))
     return StratumPoset(z, carrier, leq, lengths, dims, covers, True)

@@ -9,7 +9,9 @@ import random
 
 import pytest
 
+from zipstrata import coxeter
 from zipstrata.coxeter import (
+    InvariantError,
     ParabolicType,
     WeylElement,
     WeylGroup,
@@ -19,6 +21,7 @@ from zipstrata.coxeter import (
     create_weyl,
     diagram_automorphisms,
     element_from_word,
+    is_right_descent,
     length,
     longest_element,
     longest_element_parabolic,
@@ -26,6 +29,7 @@ from zipstrata.coxeter import (
     min_double_coset_rep,
     parabolic_elements,
     parabolic_order,
+    root_is_positive,
     simple_index_of,
     word_string,
 )
@@ -114,6 +118,38 @@ def test_length_equals_cayley_graph_distance(fam, rank):
     assert len(dist) == g.order
     for w, d in dist.items():
         assert length(w) == d
+
+
+WINDOW_GROUPS = (
+    [("A", r) for r in range(1, 6)]
+    + [(f, r) for f in "BC" for r in (2, 3, 4)]
+    + [("D", r) for r in (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("fam,rank", WINDOW_GROUPS)
+def test_window_descents_and_lengths_match_the_root_action(fam, rank):
+    g = W(fam, rank)
+    roots = g.positive_roots()
+    for w in g.elements():
+        sent_negative = sum(1 for r in roots if not root_is_positive(w.act_on_root(r)))
+        assert length(w) == sent_negative
+        for i in range(1, rank + 1):
+            simple_image = w.act_on_root(g.simple_root(i))
+            assert is_right_descent(w, i) == (not root_is_positive(simple_image))
+
+
+def test_descent_stripping_is_bounded_by_the_longest_length(monkeypatch):
+    # a descent test that reports s1 forever must fail, not loop
+    monkeypatch.setattr(coxeter, "_window_descent", lambda family, window, i: i == 1)
+    with pytest.raises(InvariantError):
+        coxeter._reduced_word.__wrapped__(W("A", 2).identity())
+
+
+def test_longest_element_checks_its_length_without_assert(monkeypatch):
+    monkeypatch.setattr(coxeter, "_length", lambda family, window: 0)
+    with pytest.raises(InvariantError):
+        longest_element(W("B", 2))
 
 
 def test_reduced_word_is_reduced_and_lex_smallest():

@@ -618,6 +618,29 @@ def test_the_counterexample_rejects_non_prime_powers():
         counterexample_gl2(1)
 
 
+def test_point_count_sum_check_survives_python_minus_o():
+    script = textwrap.dedent(
+        """
+        from zipstrata import coxeter, grouplab
+        from zipstrata.ffield import get_field
+        assert False, "asserts must be off"
+        assert grouplab.InvariantError is coxeter.InvariantError
+        grouplab.stratum_point_count = lambda datum, w, ext=1: 1
+        try:
+            grouplab.stratum_point_counts(grouplab.make_zip_datum(2, get_field(2, 1), ()))
+        except grouplab.InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    src = str(Path(zipstrata.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("InvariantError:")
+
+
 def test_counterexample_checks_survive_python_minus_o():
     script = textwrap.dedent(
         """

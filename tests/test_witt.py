@@ -237,6 +237,18 @@ def test_level_one_block_maps_are_the_zip_group_pair():
         assert sigma_mu(g)[1][1] == g.D[0][0]
 
 
+@pytest.mark.parametrize("ring", [Z4, GR16], ids=["Z/4", "W_2(F_4)"])
+def test_products_through_an_empty_inner_block_are_zero_matrices(ring):
+    k_by_0 = ((), ())
+    assert rmat_mul(ring, k_by_0, (), cols=3) == ((ring.zero,) * 3,) * 2
+    assert rmat_mul(ring, (), (), cols=3) == ()
+    with pytest.raises(ValueError):
+        rmat_mul(ring, k_by_0, ())
+    # a nonempty right factor fixes the width itself
+    one = ((ring.one,),)
+    assert rmat_mul(ring, ((ring.from_int(3),),), one) == ((ring.from_int(3),),)
+
+
 def test_block_maps_are_group_homomorphisms_on_the_full_level_two_group():
     group = display_group_points(Z4, 2, 1)
     assert len(group) == 64

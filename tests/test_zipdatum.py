@@ -1,21 +1,32 @@
 """Tests for the twisted stratum order, purity reports and serialisation."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import zipstrata
 from zipstrata.coxeter import (
     bruhat_leq,
+    bruhat_leq_subword,
     create_weyl,
     diagram_automorphisms,
     element_from_word,
     longest_element,
     min_coset_reps,
+    parabolic_elements,
     parabolic_order,
     word_string,
 )
 from zipstrata.zipdatum import (
     PsiMismatch,
+    PurityReport,
+    PurityViolation,
     ZipCombinatorics,
     boundary_maximal,
     build_zip,
@@ -102,6 +113,42 @@ def test_twisted_order_with_trivial_levi_is_bruhat_order():
         for v in W.elements():
             for w in W.elements():
                 assert twisted_leq(z, v, w) == bruhat_leq(v, w)
+
+
+def _all_cocharacter_data(family, rank):
+    W = create_weyl(family, rank)
+    for delta in diagram_automorphisms(W):
+        for k in range(rank + 1):
+            for I in combinations(range(1, rank + 1), k):
+                yield zip_from_cocharacter(W, I, delta)
+
+
+SMALL_GROUPS = [(f, r) for f in "ABCD" for r in (1, 2, 3) if (f, r) != ("D", 1)]
+# the export round trips of the strata benchmark
+LARGER_DATA = [("B", 4, (1,)), ("C", 4, (1, 2)), ("D", 4, (2,)), ("A", 5, (1, 3))]
+
+
+def _brute_force_twisted_leq(z):
+    """w' <= w iff some u * w' * psi(u)**-1 lies in the subword interval of w."""
+    carrier = min_coset_reps(z.group, z.I)
+    pairs = [(u, z.psi(u).inverse()) for u in parabolic_elements(z.group, z.I)]
+    rows = []
+    for wp in carrier:
+        translates = {u * wp * pu_inv for u, pu_inv in pairs}
+        rows.append(tuple(any(bruhat_leq_subword(t, w) for t in translates) for w in carrier))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("family,rank", SMALL_GROUPS)
+def test_twisted_order_matches_the_brute_force_oracle_in_small_rank(family, rank):
+    for z in _all_cocharacter_data(family, rank):
+        assert stratum_poset(z).leq == _brute_force_twisted_leq(z), (family, rank, z.I, z.delta)
+
+
+@pytest.mark.parametrize("family,rank,I", LARGER_DATA)
+def test_twisted_order_matches_the_brute_force_oracle_in_rank_four_and_five(family, rank, I):
+    z = zip_from_cocharacter(create_weyl(family, rank), I)
+    assert stratum_poset(z).leq == _brute_force_twisted_leq(z)
 
 
 def test_twisted_order_on_projective_plane_datum_is_a_chain():
@@ -232,6 +279,96 @@ def test_purity_detects_a_corrupted_cover_file():
     report = purity_check_poset(corrupted)
     assert not report.passed
     assert report.violations[0].length - report.violations[0].boundary_length == 2
+
+
+def _maximal_boundary_loop(poset):
+    """Purity by scanning each boundary for the strata below no other boundary stratum."""
+    lengths, leq = poset.length_of, poset.leq
+    words = [w.reduced_word() for w in poset.carrier]
+    n = len(lengths)
+    violations = []
+    for j in range(n):
+        boundary = [i for i in range(n) if leq[i][j] and i != j]
+        for i in boundary:
+            if any(leq[i][k] for k in boundary if k != i):
+                continue
+            if lengths[j] - lengths[i] != 1:
+                violations.append(
+                    PurityViolation(words[j], words[i], lengths[j], lengths[i])
+                )
+    return PurityReport(not violations, tuple(violations), n)
+
+
+def _replayed(z, covers):
+    obj = json.loads(export_poset(stratum_poset(z), "json"))
+    obj["covers"] = covers
+    return import_poset(json.dumps(obj))
+
+
+@pytest.mark.parametrize("family,rank", SMALL_GROUPS)
+def test_purity_matches_the_maximal_boundary_loop_on_every_small_datum(family, rank):
+    for z in _all_cocharacter_data(family, rank):
+        poset = stratum_poset(z)
+        assert purity_check_poset(poset) == _maximal_boundary_loop(poset)
+
+
+def test_purity_ignores_a_redundant_transitive_cover_in_a_replayed_file():
+    z = zip_from_cocharacter(create_weyl("A", 3), ())
+    poset = stratum_poset(z)
+    top = len(poset.carrier) - 1
+    replayed = _replayed(z, [list(c) for c in poset.covers] + [[0, top]])
+    assert replayed.leq == poset.leq
+    report = purity_check_poset(replayed)
+    assert report == _maximal_boundary_loop(replayed)
+    assert report.passed
+
+
+def test_purity_violations_are_listed_by_stratum_then_boundary_stratum():
+    # S_3 by length: e, s1, s2, s1*s2, s2*s1, w0; each cover skips a length
+    z = build_zip(create_weyl("A", 2), set(), set())
+    acyclic = _replayed(z, [[0, 4], [0, 3], [2, 5], [1, 5]])
+    report = purity_check_poset(acyclic)
+    assert report == _maximal_boundary_loop(acyclic)
+    assert [(v.stratum, v.boundary_stratum) for v in report.violations] == [
+        ((1, 2), ()),
+        ((2, 1), ()),
+        ((1, 2, 1), (1,)),
+        ((1, 2, 1), (2,)),
+    ]
+    # with the cycle s1 <-> s2 each is the other's maximal boundary stratum,
+    # and neither is maximal in the boundary of w0
+    cyclic = _replayed(z, [[0, 4], [0, 3], [2, 5], [1, 5], [1, 2], [2, 1]])
+    report = purity_check_poset(cyclic)
+    assert report == _maximal_boundary_loop(cyclic)
+    assert [(v.stratum, v.boundary_stratum) for v in report.violations] == [
+        ((1,), (2,)),
+        ((2,), (1,)),
+        ((1, 2), ()),
+        ((2, 1), ()),
+    ]
+
+
+def test_order_checks_survive_python_minus_o():
+    script = textwrap.dedent(
+        """
+        from zipstrata import zipdatum
+        from zipstrata.coxeter import create_weyl
+        assert False, "asserts must be off"
+        # every label below every other: reflexive, but not antisymmetric
+        zipdatum._twisted_row = lambda z, w_prime, highs: (1 << len(highs)) - 1
+        try:
+            zipdatum.stratum_poset(zipdatum.zip_from_cocharacter(create_weyl("A", 2), ()))
+        except zipdatum.InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    src = str(Path(zipstrata.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "InvariantError: order must be antisymmetric"
 
 
 # ---------------------------------------------------------------------------
