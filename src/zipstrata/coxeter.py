@@ -288,6 +288,9 @@ def _window_descent(family: str, window: Sequence[int], i: int) -> bool:
 
 
 def is_right_descent(w: WeylElement, i: int) -> bool:
+    """Whether s_i is a right descent of w, for a simple index i in 1..rank."""
+    if not 1 <= i <= w.group.rank:
+        raise ValueError(f"simple index {i} is outside 1..{w.group.rank}")
     return _window_descent(w.group.family, w.window, i)
 
 

@@ -409,9 +409,11 @@ def zip_group_order(datum: ZipDatumGroupLevel, ext: int = 1) -> int:
 def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
     """Partition GL_n(F_{q^ext}) into zip-group orbits.
 
-    Each orbit is walked with the generators of `zip_generators`, applied as
-    row and column operations; the stabilizer order is |E| / |orbit| with |E|
-    from its closed form.  Orbits are seeded at the least uncovered point.
+    Each orbit is the forward closure of its seed under the moves compiled
+    from `zip_generators`: one row or column operation (or a pair of them)
+    per generator, read from integer-coded tables.  The stabilizer order is
+    |E| / |orbit| with |E| from its closed form.  Orbits are seeded at the
+    least uncovered point.
     """
     ff = _points_field(datum, ext)
     n = datum.n
@@ -423,7 +425,7 @@ def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
     for seed in points:
         if seed not in remaining:
             continue
-        orbit = _walk_orbit(ff.add, moves, seed)
+        orbit = _walk_orbit(moves, seed)
         if not orbit <= remaining:
             raise InvariantError("a zip orbit meets an orbit found before it")
         remaining -= orbit
@@ -441,11 +443,28 @@ def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
 def stabilizer(
     datum: ZipDatumGroupLevel, g: Mat, ext: int = 1
 ) -> tuple[tuple[Mat, Mat], ...]:
-    """All zip-group pairs fixing g under (p', p) . g = p' g p^{-1}."""
+    """All zip-group pairs fixing an invertible g under (p', p) . g = p' g p^{-1}.
+
+    p' g p^{-1} = g exactly when p = g^{-1} p' g, so each p' of the lower
+    parabolic P' fixes g with at most one p.  That p lies in E when it agrees
+    with F(levi part of p') on the Levi blocks and zero below them.  This
+    takes |P'| products instead of a scan of all |E| pairs.  The pairs come
+    in the order of `parabolic_points(..., lower=True)`, which is the order
+    of `zip_group_points`.
+    """
     ff = _points_field(datum, ext)
+    n = datum.n
+    classes = datum.classes
+    pinned = _lower_pattern(classes, n)
+    try:
+        g_inv = mat_inv(ff, g)
+    except ZeroDivisionError:
+        raise ValueError("the stabilizer is taken in GL_n: g must be invertible") from None
     out = []
-    for pp, p in zip_group_points(datum, ext):
-        if mat_mul(ff, mat_mul(ff, pp, g), mat_inv(ff, p)) == g:
+    for pp in parabolic_points(n, ff, datum.I, lower=True):
+        p = mat_mul(ff, mat_mul(ff, g_inv, pp), g)
+        levi = mat_frobenius(ff, _levi_part(pp, classes, n), datum.twist_exponent)
+        if all(p[i][j] == levi[i][j] for i, j in pinned):
             out.append((pp, p))
     return tuple(out)
 
@@ -726,51 +745,39 @@ def stratum_point_counts(
 def zip_generators(
     datum: ZipDatumGroupLevel, ext: int = 1
 ) -> tuple[tuple[Mat, Mat], ...]:
-    """A generating set of the zip group, closed under inverses."""
+    """A generating set of the zip group over the degree-`ext` extension.
+
+    Pairs (p', p), in this order: (1 + E_ij, 1) for each root ij of the
+    radical of P', (1, 1 + E_ij) for each root ij of the radical of P, and
+    per Levi block one scaling (l, F(l)) with l = diag(t, 1, ..., 1) for the
+    field generator t, then (1 + E_ij, 1 + E_ij) for each ordered pair i != j
+    inside the block.  The Levi pairs generate {(l, F(l))}, as the scaling
+    and the transvections of scalar 1 generate each GL block.  Conjugating by
+    the Levi torus scales the root group of ij by t_i / t_j, which runs over
+    F_Q^*, and F_Q^* spans F_Q additively, so scalar 1 suffices on the
+    radicals too.  No inverses are needed: in a finite group the closure of a
+    point under the generators alone is its orbit.
+    """
     ff = _points_field(datum, ext)
     n = datum.n
     classes = datum.classes
     equiv = _equiv_pattern(classes)
-    upper_strict = sorted(_upper_pattern(classes, n) - equiv)
-    lower_strict = sorted(_lower_pattern(classes, n) - equiv)
     k = datum.twist_exponent
     one = mat_identity(n)
-    basis = [ff.element_from_coeffs([0] * t + [1]) for t in range(ff.degree)]
 
-    def transvection(i: int, j: int, c: int) -> Mat:
+    def elementary(i: int, j: int, c: int) -> Mat:
+        # the identity with entry (i, j) set to c
         return tuple(
             tuple(c if (a, b) == (i, j) else one[a][b] for b in range(n))
             for a in range(n)
         )
 
-    pairs: list[tuple[Mat, Mat]] = []
-    for i, j in lower_strict:
-        for c in basis:
-            pairs.append((transvection(i, j, c), one))
-            pairs.append((transvection(i, j, ff.neg(c)), one))
-    for i, j in upper_strict:
-        for c in basis:
-            pairs.append((one, transvection(i, j, c)))
-            pairs.append((one, transvection(i, j, ff.neg(c))))
-    levis: list[Mat] = []
+    pairs = [(elementary(i, j, 1), one) for i, j in sorted(_lower_pattern(classes, n) - equiv)]
+    pairs += [(one, elementary(i, j, 1)) for i, j in sorted(_upper_pattern(classes, n) - equiv)]
     for cls in classes:
-        g = ff.generator
-        levis.append(
-            tuple(
-                tuple(
-                    g if (a == b == cls[0]) else one[a][b] for b in range(n)
-                )
-                for a in range(n)
-            )
-        )
-        for i in cls:
-            for j in cls:
-                if i != j:
-                    for c in basis:
-                        levis.append(transvection(i, j, c))
-    for l in levis:
-        for m in (l, mat_inv(ff, l)):
-            pairs.append((m, mat_frobenius(ff, m, k)))
+        levis = [elementary(cls[0], cls[0], ff.generator)]
+        levis += [elementary(i, j, 1) for i in cls for j in cls if i != j]
+        pairs += [(l, mat_frobenius(ff, l, k)) for l in levis]
     return tuple(pairs)
 
 
@@ -787,7 +794,7 @@ def zip_orbit_search(
     an orbit with more than `guard` points raises TooLarge.
     """
     ff = _points_field(datum, ext)
-    orbit = _walk_orbit(ff.add, _zip_moves(datum, ext), _flat(g), guard)
+    orbit = _walk_orbit(_zip_moves(datum, ext), _flat(g), guard)
     hits = tuple(t for t in targets if _flat(t) in orbit)
     return hits, len(orbit)
 
@@ -797,10 +804,38 @@ def _flat(m: Mat) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(m))
 
 
-# A row or column operation on a flat row-major n*n matrix: with src None it
-# sets x[d] = scale[x[d]] for d in dst, otherwise x[d] += scale[x[s]] for the
-# paired positions.  scale[x] is c*x for the operation's scalar c.
-_Op = tuple[tuple[int, ...], Optional[tuple[int, ...]], tuple[int, ...]]
+# A row or column operation on a flat row-major n*n matrix: it sets
+# x[d] = table[x[s]][x[d]], which is x[d] + c*x[s], for each position pair
+# (d, s), the table holding the sums for the operation's scalar c.
+_Op = tuple[tuple[tuple[int, int], ...], "_AddTable"]
+
+
+class _AddTable(dict):
+    """Rows y -> y + c*x of one scalar c, keyed by x and built on first use.
+
+    Building rows lazily keeps the cost to the rows an orbit walk reads, so
+    large fields need no q-by-q table up front.
+    """
+
+    __slots__ = ("_add", "_mul", "_c", "_order")
+
+    # compared and hashed by identity: a compile makes one table per scalar,
+    # so moves with the same operations hold the same tables
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, add: Callable[[int, int], int], mul: Callable[[int, int], int], c: int, order: int
+    ):
+        super().__init__()
+        self._add, self._mul, self._c, self._order = add, mul, c, order
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        add, cx = self._add, self._mul(self._c, x)
+        row = tuple(add(y, cx) for y in range(self._order))
+        self[x] = row
+        return row
 
 
 def _elementary_entry(m: Mat) -> Optional[tuple[int, int, int]]:
@@ -813,48 +848,56 @@ def _elementary_entry(m: Mat) -> Optional[tuple[int, int, int]]:
 
 
 def _compile_moves(
-    pairs: Iterable[tuple[Mat, Mat]], n: int, mul: Callable[[int, int], int], order: int
+    pairs: Iterable[tuple[Mat, Mat]],
+    n: int,
+    add: Callable[[int, int], int],
+    mul: Callable[[int, int], int],
+    order: int,
 ) -> tuple[tuple[_Op, ...], ...]:
     """Pairs (l, r) acting by g -> l g r, compiled to row and column operations.
 
     l and r differ from the identity in at most one entry, over integer codes
-    with one coded as 1 and zero as 0; mul multiplies codes in range(order).
-    l = 1 + c E_ij adds c times row j to row i, r = 1 + c E_ij adds c times
-    column i to column j, a diagonal entry c scales a row or a column.  Pairs
-    that are the identity on both sides and repeated moves are dropped.
+    with one coded as 1 and zero as 0; add and mul act on codes in
+    range(order).  l = 1 + c E_ij adds c times row j to row i, r = 1 + c E_ij
+    adds c times column i to column j.  A diagonal entry c scales a row or a
+    column, which is adding c - 1 times it to itself, so every operation
+    reads one table.  Each scalar gets one table, shared by every operation
+    with it.  Pairs that are the identity on both sides and repeated moves
+    are dropped.
     """
+    minus_one = next(y for y in range(order) if add(1, y) == 0)
+    rows = [range(i * n, i * n + n) for i in range(n)]
+    cols = [range(j, n * n, n) for j in range(n)]
 
-    def op(dst: range, src: Optional[range], c: int) -> _Op:
-        scale = tuple(mul(c, x) for x in range(order))
-        return tuple(dst), None if src is None else tuple(src), scale
+    def op(dst: range, src: range, c: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        if dst == src:
+            c = add(c, minus_one)
+        return tuple(zip(dst, src)), c
 
-    def row(i: int) -> range:
-        return range(i * n, i * n + n)
-
-    def col(j: int) -> range:
-        return range(j, n * n, n)
-
-    moves: dict[tuple[_Op, ...], None] = {}  # insertion-ordered set
+    tables: dict[int, _AddTable] = {}
+    moves: dict[tuple, tuple[_Op, ...]] = {}  # keyed by the (position pairs, c) of each op
     for left, right in pairs:
         ops = []
         entry = _elementary_entry(left)
         if entry is not None:
             i, j, c = entry
-            ops.append(op(row(i), None, c) if i == j else op(row(i), row(j), c))
+            ops.append(op(rows[i], rows[j], c))
         entry = _elementary_entry(right)
         if entry is not None:
             i, j, c = entry
-            ops.append(op(col(i), None, c) if i == j else op(col(j), col(i), c))
-        if ops:
-            moves[tuple(ops)] = None
-    return tuple(moves)
+            ops.append(op(cols[j], cols[i], c))
+        key = tuple(ops)
+        if key and key not in moves:
+            moves[key] = tuple(
+                (links, tables.setdefault(c, _AddTable(add, mul, c, order))) for links, c in key
+            )
+    return tuple(moves.values())
 
 
 def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ...]:
     """The generators (p', p) of `zip_generators`, acting by g -> p' g p^{-1}, as moves.
 
-    Over F_2 the Levi scaling is the identity pair and c = -c, so those pairs
-    compile to nothing or to a move already present.
+    Over F_2 the Levi scaling is the identity pair and compiles to nothing.
     """
     ff = _points_field(datum, ext)
 
@@ -872,19 +915,18 @@ def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ..
         )
 
     pairs = ((pp, inverse(p)) for pp, p in zip_generators(datum, ext))
-    return _compile_moves(pairs, datum.n, ff.mul, ff.order)
+    return _compile_moves(pairs, datum.n, ff.add, ff.mul, ff.order)
 
 
 def _walk_orbit(
-    add: Callable[[int, int], int],
     moves: Sequence[tuple[_Op, ...]],
     start: tuple[int, ...],
     guard: int = EXHAUSTION_GUARD,
 ) -> set[tuple[int, ...]]:
     """The orbit of a flat matrix under the finite group the moves generate.
 
-    add adds two entry codes; the walk is shared by every orbit computation
-    of the package, over finite fields and over truncated Witt rings.
+    The walk is shared by every orbit computation of the package, over finite
+    fields and over truncated Witt rings; it only reads the moves' tables.
     """
     orbit = {start}
     stack = [start]
@@ -892,13 +934,9 @@ def _walk_orbit(
         cur = stack.pop()
         for ops in moves:
             x = list(cur)
-            for dst, src, scale in ops:
-                if src is None:
-                    for d in dst:
-                        x[d] = scale[x[d]]
-                else:
-                    for d, s in zip(dst, src):
-                        x[d] = add(x[d], scale[x[s]])
+            for links, table in ops:
+                for d, s in links:
+                    x[d] = table[x[s]][x[d]]
             nxt = tuple(x)
             if nxt not in orbit:
                 if len(orbit) >= guard:

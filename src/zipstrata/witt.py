@@ -770,11 +770,14 @@ def _display_moves(
     def coded(a: RMat) -> Mat:
         return tuple(tuple(_code(v) for v in row) for row in a)
 
+    def mul(a: int, b: int) -> int:
+        return _code(elements[a] * elements[b])
+
     pairs = (
         (coded(iota(x)), coded(rmat_inv(ring, sigma_mu(x))))
         for x in _display_generators(ring, n, d_block)
     )
-    return _compile_moves(pairs, n, lambda a, b: _code(elements[a] * elements[b]), ring.size)
+    return _compile_moves(pairs, n, _code_add(ring), mul, ring.size)
 
 
 def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[frozenset, ...]:
@@ -790,14 +793,13 @@ def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[fro
     order = display_group_order(ring, n, d_block)
     elements = _elements_by_code(ring)
     moves = _display_moves(ring, n, d_block, elements)
-    add = _code_add(ring)
     points = [tuple(_code(v) for row in z for v in row) for z in _invertible_blocks(ring, n)]
     remaining = set(points)
     orbits = []
     for seed in points:
         if seed not in remaining:
             continue
-        orbit = _walk_orbit(add, moves, seed)
+        orbit = _walk_orbit(moves, seed)
         if not orbit <= remaining:
             raise InvariantError("a display orbit meets an orbit found before it")
         remaining -= orbit

@@ -187,14 +187,14 @@ class StratumPoset:
         except ValueError:
             raise ValueError(f"{w!r} is not a stratum label of this datum") from None
 
-    def _need_order(self) -> None:
-        if not self.order_complete:
+    def _need_order(self) -> tuple[tuple[bool, ...], ...]:
+        """The order relation leq, or ValueError when it was omitted."""
+        if not self.order_complete or self.leq is None:
             raise ValueError("the order was omitted for this datum (Levi too large)")
+        return self.leq
 
     def leq_elements(self, w_prime: WeylElement, w: WeylElement) -> bool:
-        self._need_order()
-        assert self.leq is not None
-        return self.leq[self.index_of(w_prime)][self.index_of(w)]
+        return self._need_order()[self.index_of(w_prime)][self.index_of(w)]
 
 
 def dim_parabolic(z: ZipCombinatorics) -> int:
@@ -286,17 +286,15 @@ def _covers_from_leq(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
 def closure(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylElement]:
     """All stratum labels weakly below w in the twisted order."""
     poset = stratum_poset(z)
-    poset._need_order()
-    assert poset.leq is not None
+    leq = poset._need_order()
     j = poset.index_of(w)
-    return frozenset(poset.carrier[i] for i in range(len(poset.carrier)) if poset.leq[i][j])
+    return frozenset(poset.carrier[i] for i in range(len(poset.carrier)) if leq[i][j])
 
 
 def boundary_maximal(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylElement]:
     """Maximal elements of the boundary closure(w) - {w}."""
     poset = stratum_poset(z)
     poset._need_order()
-    assert poset.leq is not None
     j = poset.index_of(w)
     return frozenset(poset.carrier[i] for i, k in poset.covers if k == j)
 
@@ -343,18 +341,16 @@ def _purity_from_relation(
 def purity_check(z: ZipCombinatorics) -> PurityReport:
     """Check that every maximal boundary stratum drops the length by exactly one."""
     poset = stratum_poset(z)
-    poset._need_order()
-    assert poset.leq is not None
+    leq = poset._need_order()
     words = [w.reduced_word() for w in poset.carrier]
-    return _purity_from_relation(poset.length_of, poset.leq, words)
+    return _purity_from_relation(poset.length_of, leq, words)
 
 
 def purity_check_poset(poset: StratumPoset) -> PurityReport:
     """Purity on an explicit poset, e.g. one replayed from a file."""
-    poset._need_order()
-    assert poset.leq is not None
+    leq = poset._need_order()
     words = [w.reduced_word() for w in poset.carrier]
-    return _purity_from_relation(poset.length_of, poset.leq, words)
+    return _purity_from_relation(poset.length_of, leq, words)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +374,7 @@ def galois_quotient(
     directions; the induced relation on orbits is checked to be antisymmetric.
     """
     poset = stratum_poset(z)
-    poset._need_order()
-    assert poset.leq is not None
+    leq = poset._need_order()
     carrier = poset.carrier
     if callable(frobenius_action) and not isinstance(frobenius_action, Mapping):
         act = {w: frobenius_action(w) for w in carrier}
@@ -393,7 +388,7 @@ def galois_quotient(
     perm = [index[act[w]] for w in carrier]
     for i in range(len(carrier)):
         for j in range(len(carrier)):
-            if poset.leq[i][j] != poset.leq[perm[i]][perm[j]]:
+            if leq[i][j] != leq[perm[i]][perm[j]]:
                 raise ValueError("action does not preserve the twisted order")
     seen = set()
     orbits: list[tuple[WeylElement, ...]] = []
@@ -416,7 +411,7 @@ def galois_quotient(
         row = []
         for ob in orbits:
             row.append(
-                any(poset.leq[index[a]][index[b]] for a in oa for b in ob)
+                any(leq[index[a]][index[b]] for a in oa for b in ob)
             )
         induced.append(tuple(row))
     for a in range(len(orbits)):

@@ -139,6 +139,13 @@ def test_window_descents_and_lengths_match_the_root_action(fam, rank):
             assert is_right_descent(w, i) == (not root_is_positive(simple_image))
 
 
+def test_descent_index_outside_the_simple_indices_is_rejected():
+    g = W("A", 2)
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError):
+            is_right_descent(g.identity(), i)
+
+
 def test_descent_stripping_is_bounded_by_the_longest_length(monkeypatch):
     # a descent test that reports s1 forever must fail, not loop
     monkeypatch.setattr(coxeter, "_window_descent", lambda family, window, i: i == 1)

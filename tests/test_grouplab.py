@@ -26,6 +26,7 @@ from zipstrata.coxeter import (
 )
 from zipstrata.ffield import get_field, gl_order, mat_identity, mat_inv, mat_mul
 from zipstrata.grouplab import (
+    _compile_moves,
     _zip_moves,
     Gl2Counterexample,
     InconsistentGrowth,
@@ -223,6 +224,34 @@ def test_census_stabilizer_orders_match_a_brute_force_scan():
             assert len(stabilizer(d, record.rep, ext)) == record.stabilizer_order
 
 
+def _scanned_stabilizer(ff, g, pairs):
+    return tuple(
+        (pp, p) for pp, p in pairs if mat_mul(ff, mat_mul(ff, pp, g), mat_inv(ff, p)) == g
+    )
+
+
+@pytest.mark.parametrize(
+    "n,field,I,frob_power,ext",
+    [(4, F2, (2,), None, 1), (3, F3, (1,), None, 1)]
+    + [(2, F4, (), e, 1) for e in range(3)]
+    + [(2, F2, (), None, 2)],
+    ids=["GL4-F2-I2", "GL3-F3-I1"] + [f"GL2-F4-e{e}" for e in range(3)] + ["GL2-F2-ext2"],
+)
+def test_stabilizer_equals_the_scan_over_the_zip_group(n, field, I, frob_power, ext):
+    d = make_zip_datum(n, field, I, frob_power=frob_power)
+    ff = get_field(field.p, field.degree * ext)
+    pairs = zip_group_points(d, ext)
+    rng = random.Random(20261018)
+    points = gl_points(n, ff)
+    for g in [mat_identity(n)] + rng.sample(points, 4):
+        assert stabilizer(d, g, ext) == _scanned_stabilizer(ff, g, pairs)
+
+
+def test_stabilizer_refuses_a_singular_matrix():
+    with pytest.raises(ValueError, match="invertible"):
+        stabilizer(make_zip_datum(2, F2, ()), ((1, 1), (1, 1)))
+
+
 def _all_block_types(n):
     simples = range(1, n)
     return chain.from_iterable(combinations(simples, k) for k in range(n))
@@ -242,7 +271,8 @@ def _brute_force_census(d):
     remaining = set(gl_points(d.n, ff))
     records = []
     while remaining:
-        orbit = {mat_mul(ff, mat_mul(ff, pp, min(remaining)), pinv) for pp, pinv in acting}
+        g = min(remaining)
+        orbit = {mat_mul(ff, mat_mul(ff, pp, g), pinv) for pp, pinv in acting}
         remaining -= orbit
         rep = min(orbit)
         cell = bruhat_cell(d, rep).reduced_word()
@@ -260,16 +290,34 @@ def test_census_equals_the_brute_force_partition_for_every_twist_over_f4():
         ] == _brute_force_census(d)
 
 
-def _apply_ops(ops, x, field):
+F8 = get_field(2, 3)
+F9 = get_field(3, 2)
+
+
+@pytest.mark.parametrize(
+    "n,field,I,frob_power",
+    [(2, F8, (), e) for e in range(4)]
+    + [(2, F9, (), e) for e in range(3)]
+    + [(3, F3, (1,), None)],
+    ids=[f"GL2-F8-e{e}" for e in range(4)] + [f"GL2-F9-e{e}" for e in range(3)] + ["GL3-F3-I1"],
+)
+def test_census_equals_the_brute_force_partition_past_f4(n, field, I, frob_power):
+    # the census walks one transvection of scalar 1 per root and no inverses;
+    # over F_8 and F_9 the other scalars come only from the Levi scalings
+    d = make_zip_datum(n, field, I, frob_power=frob_power)
+    census = zip_orbit_census(d)
+    assert census.group_order == gl_order(n, field.order)
+    assert [
+        (r.rep, r.size, r.stabilizer_order, r.cell) for r in census.orbits
+    ] == _brute_force_census(d)
+
+
+def _apply_ops(ops, x):
     """Apply compiled row and column operations to a flat matrix, one by one."""
     x = list(x)
-    for dst, src, scale in ops:
-        if src is None:
-            for d in dst:
-                x[d] = scale[x[d]]
-        else:
-            for d, s in zip(dst, src):
-                x[d] = field.add(x[d], scale[x[s]])
+    for links, table in ops:
+        for d, s in links:
+            x[d] = table[x[s]][x[d]]
     return tuple(x)
 
 
@@ -300,10 +348,27 @@ def test_compiled_moves_act_as_their_generator_matrices(p, degree, n, I, frob_po
         for pp, p in zip_generators(d, ext)
     }
     moves = _zip_moves(d, ext)
-    images = [tuple(_apply_ops(ops, x, ff) for x in fixed) for ops in moves]
+    images = [tuple(_apply_ops(ops, x) for x in fixed) for ops in moves]
     assert len(set(moves)) == len(moves), "duplicate moves are dropped"
+    assert len(set(images)) == len(images), "no two moves act alike"
     assert fixed not in images, "moves that act as the identity are dropped"
     assert set(images) == expected - {fixed}
+
+
+def test_repeated_pairs_compile_to_one_move_and_scalars_share_one_table():
+    one = mat_identity(2)
+    lower = ((1, 0), (1, 1))
+    upper = ((1, 1), (0, 1))
+    scaled = ((2, 0), (0, 1))
+    pairs = [(lower, one), (lower, one), (one, upper), (scaled, scaled), (one, one)]
+    moves = _compile_moves(pairs, 2, F3.add, F3.mul, F3.order)
+    assert len(moves) == 3
+    (row_op,), (col_op,), (scale_row, _) = moves
+    assert row_op[0] == ((2, 0), (3, 1)) and col_op[0] == ((1, 0), (3, 2))
+    assert row_op[1] is col_op[1], "one table per scalar"
+    # scaling by 2 adds 2 - 1 = 1 times each entry to itself
+    assert scale_row == (((0, 0), (1, 1)), row_op[1])
+    assert _apply_ops(moves[2], (1, 2, 2, 1)) == (1, 1, 1, 1)
 
 
 def test_census_checks_survive_python_minus_o():
