@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial, log
+from functools import cached_property, lru_cache
+from math import log
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
@@ -32,7 +32,6 @@ from .coxeter import (
     create_weyl,
     has_left_descent_in,
     min_coset_reps,
-    min_double_coset_rep,
 )
 from .ffield import (
     FiniteField,
@@ -102,12 +101,8 @@ def _lower_pattern(classes: Sequence[Sequence[int]], n: int) -> Pattern:
     return frozenset((i, j) for i in range(n) for j in range(n) if ids[i] >= ids[j])
 
 
-def _transpose_pattern(pat: Pattern) -> Pattern:
-    return frozenset((j, i) for i, j in pat)
-
-
 def _levi_of(pat: Pattern) -> Pattern:
-    return pat & _transpose_pattern(pat)
+    return frozenset((i, j) for i, j in pat if (j, i) in pat)
 
 
 def _classes_of_equiv(pat: Pattern, n: int) -> tuple[tuple[int, ...], ...]:
@@ -142,12 +137,6 @@ def _perm_inverse(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _perm_inversions(a: Sequence[int]) -> int:
-    return sum(
-        1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] > a[j]
-    )
-
-
 def _perm_of_element(w: WeylElement) -> tuple[int, ...]:
     return tuple(v - 1 for v in w.window)
 
@@ -156,24 +145,38 @@ def _element_of_perm(group: WeylGroup, perm: Sequence[int]) -> WeylElement:
     return group.element(tuple(v + 1 for v in perm))
 
 
-def _class_preserving_perms(
-    classes: Sequence[Sequence[int]], n: int
-) -> tuple[tuple[int, ...], ...]:
-    count = 1
-    for cls in classes:
-        count *= factorial(len(cls))
-    if count > 40_320:
-        raise TooLarge(f"{count} class-preserving permutations is too many to scan")
-    out = []
-    for images in itertools.product(
-        *[itertools.permutations(cls) for cls in classes]
+def _double_coset_min(
+    counts: Sequence[Sequence[int]],
+    left: Sequence[Sequence[int]],
+    right: Sequence[Sequence[int]],
+) -> tuple[int, ...]:
+    """The shortest permutation nu with counts[a][b] = #{j in right[b] : nu(j) in left[a]}.
+
+    Both class lists must be consecutive intervals covering range(n) in order;
+    then the permutations with these block counts form one double coset
+    W_left . nu . W_right, and its shortest element is the unique one that is
+    increasing on each right class with an inverse increasing on each left
+    class: each right class in turn takes the least unused values of each left
+    class.  For other set partitions the shortest element need not be unique,
+    so they are refused.
+    """
+    n = sum(len(cls) for cls in left)
+    for classes in (left, right):
+        if list(itertools.chain.from_iterable(classes)) != list(range(n)):
+            raise InvariantError("double coset classes must be consecutive intervals")
+    if (
+        any(c < 0 for row in counts for c in row)
+        or [sum(row) for row in counts] != [len(cls) for cls in left]
+        or [sum(col) for col in zip(*counts)] != [len(cls) for cls in right]
     ):
-        perm = [0] * n
-        for cls, img in zip(classes, images):
-            for pos, target in zip(cls, img):
-                perm[pos] = target
-        out.append(tuple(perm))
-    return tuple(out)
+        raise InvariantError("the block counts are not those of a permutation")
+    nxt = [cls[0] for cls in left]  # the least unused value of each left class
+    nu: list[int] = []
+    for b in range(len(right)):
+        for a, row in enumerate(counts):
+            nu.extend(range(nxt[a], nxt[a] + row[b]))
+            nxt[a] += row[b]
+    return tuple(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +242,8 @@ class ZipDatumGroupLevel:
     def shadow(self) -> ZipCombinatorics:
         """The Weyl-group combinatorics attached to this datum."""
         z = zip_from_cocharacter(self.weyl, self.I, gl_center=True)
-        assert z.J == self.J
+        if z.J != self.J:
+            raise InvariantError("the combinatorial shadow must have the datum's J")
         return z
 
 
@@ -479,53 +483,31 @@ def bruhat_cell(datum: ZipDatumGroupLevel, g: Mat, ext: int = 1) -> WeylElement:
 
     Left multiplication by the lower block parabolic preserves the spans of the
     leading row blocks and right multiplication by the upper block parabolic
-    preserves the spans of the leading column blocks, so the profile of ranks
-    of the leading-block submatrices is a complete coset invariant.
+    preserves the spans of the leading column blocks, so the ranks r(a, b) of
+    the leading a-by-b block submatrices are a complete coset invariant.  For
+    a permutation matrix, r(a, b) counts the ones in those blocks, so the
+    number of ones in row block a and column block b is
+    N[a][b] = r(a, b) - r(a-1, b) - r(a, b-1) + r(a-1, b-1), and the label is
+    the shortest permutation with these block counts.  A profile that is not
+    a permutation's (g singular) raises InvariantError.
     """
-    n = datum.n
-    if n > 6:
-        raise TooLarge("cell search scans all permutations; the size is capped at 6")
     ff = _points_field(datum, ext)
     classes = datum.classes
-    prefixes = []
-    acc = 0
+    prefixes = [0]
     for cls in classes:
-        acc += len(cls)
-        prefixes.append(acc)
-
-    def profile_matrix(m: Mat) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(
-                mat_rank(ff, tuple(row[:c] for row in m[:r])) for c in prefixes
-            )
-            for r in prefixes
-        )
-
-    def profile_perm(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(sum(1 for j in range(c) if perm[j] < r) for c in prefixes)
-            for r in prefixes
-        )
-
-    target = profile_matrix(g)
-    matches = [
-        perm
-        for perm in itertools.permutations(range(n))
-        if profile_perm(perm) == target
+        prefixes.append(prefixes[-1] + len(cls))
+    rank = [
+        [mat_rank(ff, tuple(row[:c] for row in g[:r])) for c in prefixes] for r in prefixes
     ]
-    assert matches, "every invertible matrix lies in some cell"
-    nu = min(matches, key=lambda p: (_perm_inversions(p), p))
-    side = _class_preserving_perms(classes, n)
-    coset = {
-        _perm_compose(a_prime, _perm_compose(nu, a))
-        for a_prime in side
-        for a in side
-    }
-    assert set(matches) == coset, "rank profile must cut out one double coset"
-    group = datum.weyl
-    return min_double_coset_rep(
-        group, datum.I, _element_of_perm(group, nu), datum.I
-    )
+    counts = [
+        [
+            rank[a + 1][b + 1] - rank[a][b + 1] - rank[a + 1][b] + rank[a][b]
+            for b in range(len(classes))
+        ]
+        for a in range(len(classes))
+    ]
+    nu = _double_coset_min(counts, classes, classes)
+    return _element_of_perm(datum.weyl, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +523,14 @@ class _Layer:
     twist_perm: tuple[int, ...]
     twist_power: int
 
+    @cached_property
+    def p_levi(self) -> Pattern:
+        return _levi_of(self.p_pat)
+
+    @cached_property
+    def pp_levi(self) -> Pattern:
+        return _levi_of(self.pp_pat)
+
     def ambient_pattern(self) -> Pattern:
         return _equiv_pattern(self.classes)
 
@@ -550,12 +540,14 @@ class _Layer:
 
 
 def _check_preorder(pat: Pattern, n: int) -> None:
-    for i in range(n):
-        assert (i, i) in pat
+    succ: list[set[int]] = [set() for _ in range(n)]
     for i, j in pat:
-        for k, l in pat:
-            if j == k:
-                assert (i, l) in pat
+        succ[i].add(j)
+    for i in range(n):
+        if i not in succ[i]:
+            raise InvariantError("a layer pattern is not reflexive")
+        if any(not succ[j] <= succ[i] for j in succ[i]):
+            raise InvariantError("a layer pattern is not transitive")
 
 
 def _top_layer(datum: ZipDatumGroupLevel) -> _Layer:
@@ -576,67 +568,74 @@ def _cell_normal_form(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Write x = a' o nu o a with a' in the left Levi and a in the right Levi.
 
-    Returns the canonical (shortest) structural permutation nu of the double
-    coset and the reduced element lambda = a o (sigma a' sigma^{-1}), which
-    indexes the orbit at the next layer.
+    nu is the shortest permutation of the double coset, read off the block
+    counts N[a][b] = #{j in right class b : x(j) in left class a}.  a' is the
+    lexicographically least left factor: each u of a left class takes the
+    least unused v of that class with x^{-1}(v) in the right class of
+    nu^{-1}(u).  Returns nu and the reduced element lambda =
+    a o (sigma a' sigma^{-1}), which indexes the orbit at the next layer.
     """
     n = len(x)
-    left = _class_preserving_perms(
-        _classes_of_equiv(_levi_of(layer.pp_pat), n), n
-    )
-    right = _class_preserving_perms(
-        _classes_of_equiv(_levi_of(layer.p_pat), n), n
-    )
-    coset = {
-        _perm_compose(a_prime, _perm_compose(x, a))
-        for a_prime in left
-        for a in right
-    }
-    nu = min(coset, key=lambda p: (_perm_inversions(p), p))
+    left = _classes_of_equiv(layer.pp_levi, n)
+    right = _classes_of_equiv(layer.p_levi, n)
+    left_ids = _class_ids(left, n)
+    right_ids = _class_ids(right, n)
+    x_inv = _perm_inverse(x)
+    # the values v of each block (left class of v, right class of x^{-1}(v)), increasing
+    pools: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        pools.setdefault((left_ids[v], right_ids[x_inv[v]]), []).append(v)
+    counts = [
+        [len(pools.get((a, b), ())) for b in range(len(right))] for a in range(len(left))
+    ]
+    nu = _double_coset_min(counts, left, right)
     nu_inv = _perm_inverse(nu)
-    right_ids = _class_ids(_classes_of_equiv(_levi_of(layer.p_pat), n), n)
+    unused = {key: iter(vs) for key, vs in pools.items()}
+    a_prime = tuple(next(unused[left_ids[u], right_ids[nu_inv[u]]]) for u in range(n))
+    a = _perm_compose(nu_inv, _perm_compose(_perm_inverse(a_prime), x))
     sigma = layer.twist_perm
-    sigma_inv = _perm_inverse(sigma)
-    for a_prime in left:
-        a = _perm_compose(nu_inv, _perm_compose(_perm_inverse(a_prime), x))
-        if all(right_ids[a[i]] == right_ids[i] for i in range(n)):
-            lam = _perm_compose(a, _perm_compose(sigma, _perm_compose(a_prime, sigma_inv)))
-            return nu, lam
-    raise AssertionError("the double coset factorisation must exist")
+    lam = _perm_compose(a, _perm_compose(sigma, _perm_compose(a_prime, _perm_inverse(sigma))))
+    return nu, lam
 
 
 def _reduce_layer(layer: _Layer, nu: tuple[int, ...]) -> _Layer:
     n = len(nu)
-    levi_p = _levi_of(layer.p_pat)
-    levi_pp = _levi_of(layer.pp_pat)
     sigma = layer.twist_perm
-    nu_inv = _perm_inverse(nu)
-    q_pat = _map_pattern(sigma, levi_pp & _map_pattern(nu, layer.p_pat))
-    qp_pat = levi_p & _map_pattern(nu_inv, layer.pp_pat)
-    classes2 = _classes_of_equiv(levi_p, n)
-    twist2 = _perm_compose(sigma, nu)
-    amb2 = _equiv_pattern(classes2)
-    assert q_pat <= amb2 and qp_pat <= amb2
+    q_pat = _map_pattern(sigma, layer.pp_levi & _map_pattern(nu, layer.p_pat))
+    qp_pat = layer.p_levi & _map_pattern(_perm_inverse(nu), layer.pp_pat)
+    classes2 = _classes_of_equiv(layer.p_levi, n)
+    nxt = _Layer(classes2, q_pat, qp_pat, _perm_compose(sigma, nu), layer.twist_power)
+    amb2 = nxt.ambient_pattern()
+    if not (q_pat <= amb2 and qp_pat <= amb2):
+        raise InvariantError("the next layer's patterns leave its ambient blocks")
     _check_preorder(q_pat, n)
     _check_preorder(qp_pat, n)
     for i, j in amb2:
-        assert (i, j) in q_pat or (j, i) in q_pat
-        assert (i, j) in qp_pat or (j, i) in qp_pat
-    assert _map_pattern(twist2, _levi_of(qp_pat)) == _levi_of(q_pat)
-    return _Layer(classes2, q_pat, qp_pat, twist2, layer.twist_power)
+        if (i, j) not in q_pat and (j, i) not in q_pat:
+            raise InvariantError("the next layer's P pattern is not total on its blocks")
+        if (i, j) not in qp_pat and (j, i) not in qp_pat:
+            raise InvariantError("the next layer's P' pattern is not total on its blocks")
+    if _map_pattern(nxt.twist_perm, nxt.pp_levi) != nxt.p_levi:
+        raise InvariantError("the next layer's twist does not match its Levi patterns")
+    return nxt
 
 
-def _layer_levi_order(pat: Pattern, n: int, Q: int) -> int:
-    order = 1
-    for cls in _classes_of_equiv(_levi_of(pat), n):
-        order *= gl_order(len(cls), Q)
-    return order
+def _reduce_step(layer: _Layer, x: tuple[int, ...]) -> tuple[_Layer, tuple[int, ...], int]:
+    """The next layer, the reduced element and the dimension k of the kernel step."""
+    nu, lam = _cell_normal_form(layer, x)
+    u_pat = layer.p_pat - layer.p_levi
+    up_pat = layer.pp_pat - layer.pp_levi
+    k = len(up_pat & _map_pattern(nu, u_pat))
+    return _reduce_layer(layer, nu), lam, k
 
 
 def _layer_zip_order(layer: _Layer, n: int, Q: int) -> int:
-    u_prime = len(layer.pp_pat) - len(_levi_of(layer.pp_pat))
-    u = len(layer.p_pat) - len(_levi_of(layer.p_pat))
-    return Q**u_prime * _layer_levi_order(layer.pp_pat, n, Q) * Q**u
+    u_prime = len(layer.pp_pat) - len(layer.pp_levi)
+    u = len(layer.p_pat) - len(layer.p_levi)
+    order = Q ** (u_prime + u)
+    for cls in _classes_of_equiv(layer.pp_levi, n):
+        order *= gl_order(len(cls), Q)
+    return order
 
 
 def _ambient_order(layer: _Layer, Q: int) -> int:
@@ -648,17 +647,15 @@ def _ambient_order(layer: _Layer, Q: int) -> int:
 
 def _count_recursive(layer: _Layer, x: tuple[int, ...], Q: int, depth: int) -> int:
     n = len(x)
-    assert depth <= 2 * n * n + 4, "layer reduction failed to terminate"
+    if depth > 2 * n * n + 4:
+        raise InvariantError("layer reduction failed to terminate")
     if layer.is_terminal():
         return _ambient_order(layer, Q)
-    nu, lam = _cell_normal_form(layer, x)
-    u_pat = layer.p_pat - _levi_of(layer.p_pat)
-    up_pat = layer.pp_pat - _levi_of(layer.pp_pat)
-    k = len(up_pat & _map_pattern(nu, u_pat))
-    nxt = _reduce_layer(layer, nu)
+    nxt, lam, k = _reduce_step(layer, x)
     numerator = _layer_zip_order(layer, n, Q) * _count_recursive(nxt, lam, Q, depth + 1)
     denominator = Q**k * _layer_zip_order(nxt, n, Q)
-    assert numerator % denominator == 0
+    if numerator % denominator:
+        raise InvariantError("a layer's point count is not an exact quotient")
     return numerator // denominator
 
 
@@ -690,12 +687,7 @@ def reduce_datum(datum: ZipDatumGroupLevel, w: WeylElement) -> ReductionStep:
     """Reduce the stratum labelled w to its zip datum one layer down."""
     _require_stratum_label(datum, w)
     layer = _top_layer(datum)
-    x = _stratum_rep_perm(datum, w)
-    nu, lam = _cell_normal_form(layer, x)
-    u_pat = layer.p_pat - _levi_of(layer.p_pat)
-    up_pat = layer.pp_pat - _levi_of(layer.pp_pat)
-    k = len(up_pat & _map_pattern(nu, u_pat))
-    nxt = _reduce_layer(layer, nu)
+    nxt, lam, k = _reduce_step(layer, _stratum_rep_perm(datum, w))
     return ReductionStep(
         nxt.classes,
         nxt.p_pat,
@@ -793,7 +785,6 @@ def zip_orbit_search(
     Returns the targets found (in the order given) and the full orbit size;
     an orbit with more than `guard` points raises TooLarge.
     """
-    ff = _points_field(datum, ext)
     orbit = _walk_orbit(_zip_moves(datum, ext), _flat(g), guard)
     hits = tuple(t for t in targets if _flat(t) in orbit)
     return hits, len(orbit)
@@ -974,6 +965,8 @@ def lang_preimage_table(
     max_ext: int = 3,
 ) -> dict[Mat, Optional[tuple[int, Mat]]]:
     """Batch Lang scan: one sweep per extension level, shared by all targets."""
+    if not targets:
+        return {}
     k = field.degree if frob_power is None else frob_power
     n = len(targets[0])
     for t in targets:

@@ -6,27 +6,40 @@ Lang witnesses re-verified by hand, and dimension estimates recomputed from
 known point-count laws.
 """
 
+import ast
 import os
 import random
 import subprocess
 import sys
 import textwrap
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, permutations, product
 from pathlib import Path
 
 import pytest
 
 import zipstrata
 
+from zipstrata import grouplab
 from zipstrata.coxeter import (
+    InvariantError,
     create_weyl,
     element_from_word,
     longest_element,
     min_coset_reps,
+    min_double_coset_rep,
 )
-from zipstrata.ffield import get_field, gl_order, mat_identity, mat_inv, mat_mul
+from zipstrata.ffield import (
+    get_field,
+    gl_order,
+    mat_identity,
+    mat_inv,
+    mat_is_invertible,
+    mat_mul,
+    mat_rank,
+)
 from zipstrata.grouplab import (
     _compile_moves,
+    _double_coset_min,
     _zip_moves,
     Gl2Counterexample,
     InconsistentGrowth,
@@ -495,10 +508,122 @@ def test_bruhat_cell_is_constant_on_zip_orbits():
             assert bruhat_cell(d, moved).reduced_word() == record.cell
 
 
-def test_bruhat_cell_refuses_sizes_beyond_the_permutation_scan():
-    d = make_zip_datum(7, F2, ())
-    with pytest.raises(TooLarge):
-        bruhat_cell(d, mat_identity(7))
+def test_bruhat_cell_and_point_counts_reach_gl7_and_gl8():
+    for n in (7, 8):
+        d = make_zip_datum(n, F2, ())
+        anti = tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
+        assert bruhat_cell(d, mat_identity(n)).length == 0
+        assert bruhat_cell(d, anti) == longest_element(d.weyl)
+    counts = stratum_point_counts(make_zip_datum(7, F2, (2, 3, 4, 5)))
+    assert len(counts) == 42
+    assert sum(c for _, c in counts) == gl_order(7, 2)
+
+
+def test_bruhat_cell_refuses_a_singular_matrix():
+    d = make_zip_datum(3, F2, (1,))
+    with pytest.raises(InvariantError):
+        bruhat_cell(d, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the permutation scans the block counts replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def perm_inversions(a):
+    return sum(1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] > a[j])
+
+
+def class_preserving_perms(classes, n):
+    out = []
+    for images in product(*[permutations(cls) for cls in classes]):
+        perm = [0] * n
+        for cls, img in zip(classes, images):
+            for pos, target in zip(cls, img):
+                perm[pos] = target
+        out.append(tuple(perm))
+    return out
+
+
+def cell_normal_form_by_scan(layer, x):
+    """The shortest element of the double coset and the lex-first left factor."""
+    n = len(x)
+    compose, inverse = grouplab._perm_compose, grouplab._perm_inverse
+    left_classes = grouplab._classes_of_equiv(grouplab._levi_of(layer.pp_pat), n)
+    right_classes = grouplab._classes_of_equiv(grouplab._levi_of(layer.p_pat), n)
+    left = class_preserving_perms(left_classes, n)
+    right = class_preserving_perms(right_classes, n)
+    coset = {compose(a_prime, compose(x, a)) for a_prime in left for a in right}
+    nu = min(coset, key=lambda p: (perm_inversions(p), p))
+    right_ids = grouplab._class_ids(right_classes, n)
+    sigma = layer.twist_perm
+    for a_prime in left:
+        a = compose(inverse(nu), compose(inverse(a_prime), x))
+        if all(right_ids[a[i]] == right_ids[i] for i in range(n)):
+            return nu, compose(a, compose(sigma, compose(a_prime, inverse(sigma))))
+    raise AssertionError("the double coset factorisation must exist")
+
+
+def bruhat_cell_by_scan(datum, g):
+    """The cell of g from every permutation with g's leading-block rank profile."""
+    n, ff = datum.n, datum.field
+    prefixes = list(accumulate(len(cls) for cls in datum.classes))
+    target = [[mat_rank(ff, tuple(row[:c] for row in g[:r])) for c in prefixes] for r in prefixes]
+    matches = [
+        perm
+        for perm in permutations(range(n))
+        if [[sum(1 for j in range(c) if perm[j] < r) for c in prefixes] for r in prefixes]
+        == target
+    ]
+    nu = min(matches, key=lambda p: (perm_inversions(p), p))
+    side = class_preserving_perms(datum.classes, n)
+    compose = grouplab._perm_compose
+    assert set(matches) == {compose(a, compose(nu, b)) for a in side for b in side}
+    group = datum.weyl
+    return min_double_coset_rep(group, datum.I, group.element(tuple(v + 1 for v in nu)), datum.I)
+
+
+def test_cell_normal_form_matches_the_coset_scan_on_every_layer(monkeypatch):
+    seen = []
+    block_counts = grouplab._cell_normal_form
+
+    def recording(layer, x):
+        result = block_counts(layer, x)
+        seen.append((layer, x, result))
+        return result
+
+    monkeypatch.setattr(grouplab, "_cell_normal_form", recording)
+    for n in range(2, 6):
+        for k in range(n):
+            for I in combinations(range(1, n), k):
+                stratum_point_counts(make_zip_datum(n, F2, I))
+    assert len(seen) > 1000
+    for layer, x, result in seen:
+        assert result == cell_normal_form_by_scan(layer, x)
+
+
+def test_bruhat_cell_matches_the_permutation_scan_on_random_matrices():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        field = rng.choice((F2, F3))
+        d = make_zip_datum(n, field, [i for i in range(1, n) if rng.random() < 0.5])
+        g = None
+        while g is None or not mat_is_invertible(field, g):
+            g = tuple(tuple(rng.randrange(field.order) for _ in range(n)) for _ in range(n))
+        assert bruhat_cell(d, g) == bruhat_cell_by_scan(d, g)
+
+
+def test_double_coset_min_refuses_non_interval_classes_and_foreign_counts():
+    assert _double_coset_min([[1, 1], [1, 0]], ((0, 1), (2,)), ((0, 1), (2,))) == (0, 2, 1)
+    with pytest.raises(InvariantError, match="intervals"):
+        _double_coset_min([[1, 1], [1, 0]], ((0, 2), (1,)), ((0, 1), (2,)))
+    with pytest.raises(InvariantError, match="intervals"):
+        _double_coset_min([[1, 1], [1, 0]], ((0, 1), (2,)), ((2,), (0, 1)))
+    with pytest.raises(InvariantError, match="permutation"):
+        _double_coset_min([[2, 0], [0, 0]], ((0, 1), (2,)), ((0, 1), (2,)))
+    with pytest.raises(InvariantError, match="permutation"):
+        _double_coset_min([[2, 0], [-1, 2]], ((0, 1), (2,)), ((0,), (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +651,45 @@ def test_reduction_kernels_count_the_inversions_of_the_cell_element():
     for w in min_coset_reps(d.weyl, d.I):
         step = reduce_datum(d, w)
         assert step.kernel_dim == (w * longest_element(d.weyl)).length
+
+
+def test_k3_datum_point_counts_exhaust_gl22_and_every_stratum_reduces():
+    d = make_zip_datum(22, F2, range(2, 21))
+    counts = stratum_point_counts(d)
+    assert len(counts) == 462
+    assert sum(c for _, c in counts) == gl_order(22, 2)
+    for w, _ in counts:
+        step = reduce_datum(d, w)
+        assert sorted(step.element) == list(range(1, 23))
+
+
+def test_layer_checks_survive_python_minus_o():
+    script = textwrap.dedent(
+        """
+        from zipstrata import grouplab
+        from zipstrata.ffield import get_field
+        assert False, "asserts must be off"
+        # an empty pattern map leaves the next layer's patterns without their diagonal
+        grouplab._map_pattern = lambda perm, pat: frozenset()
+        try:
+            grouplab.stratum_point_counts(grouplab.make_zip_datum(2, get_field(2, 1), ()))
+        except grouplab.InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    src = str(Path(zipstrata.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "InvariantError: a layer pattern is not reflexive\n"
+
+
+def test_grouplab_has_no_bare_asserts():
+    tree = ast.parse(Path(grouplab.__file__).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements vanish under python -O: lines {lines}"
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +725,8 @@ def test_orbit_search_respects_its_guard():
     d = make_zip_datum(2, F2, ())
     with pytest.raises(TooLarge):
         zip_orbit_search(d, mat_identity(2), (), guard=2)
+    with pytest.raises(ValueError, match="extension degree"):
+        zip_orbit_search(d, mat_identity(2), (), ext=0)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +777,11 @@ def test_lang_preimage_below_the_minimal_level_reports_absence():
 def test_lang_preimage_with_the_trivial_twist_only_solves_the_identity():
     assert lang_preimage(F2, mat_identity(2), frob_power=0) == (1, mat_identity(2))
     assert lang_preimage(F2, ((1, 1), (0, 1)), frob_power=0) is None
+
+
+def test_lang_preimage_table_of_no_targets_is_empty():
+    assert lang_preimage_table(F2, ()) == {}
+    assert lang_preimage_table(F3, [], frob_power=0) == {}
 
 
 # ---------------------------------------------------------------------------
