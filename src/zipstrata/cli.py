@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coxeter import create_weyl, longest_element, word_string
@@ -279,7 +279,8 @@ def cmd_classify(cfg: RunConfig) -> int:
         position = "closed"
     else:
         position = "intermediate"
-    assert label.certificate is not None
+    if label.certificate is None:
+        raise InvariantError("a classify label must carry its witness")
     if cfg.format == "json":
         text = _dump_json(
             {

@@ -17,6 +17,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
+from .coxeter import InvariantError
+
 Mat = tuple[tuple[int, ...], ...]
 
 _TABLE_LIMIT = 256  # full q-by-q add/mul tables below this order
@@ -188,7 +190,8 @@ class FiniteField:
             if len(seen) == n - 1:
                 gen = g
                 break
-        assert gen is not None
+        if gen is None:
+            raise InvariantError("the unit group of a finite field must be cyclic")
         self.generator = gen
         exp = [1] * (n - 1)
         for k in range(1, n - 1):
@@ -298,7 +301,8 @@ class FiniteField:
             if self.eval_poly(small.modulus, x) == 0:
                 root = x
                 break
-        assert root is not None
+        if root is None:
+            raise InvariantError("the small field's modulus must have a root here")
         table = tuple(
             self.eval_poly(small.coeffs_of(a), root) for a in range(small.order)
         )

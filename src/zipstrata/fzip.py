@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .coxeter import ParabolicType, WeylElement, create_weyl, min_coset_reps
+from .coxeter import InvariantError, ParabolicType, WeylElement, create_weyl, min_coset_reps
 from .ffield import (
     FiniteField,
     Mat,
@@ -214,7 +214,8 @@ def _graded_basis(big: Mat, small: Mat) -> Mat:
     """Columns of the big echelon basis whose pivot rows the small space misses."""
     drop = set(_pivots(small))
     keep = [c for c, r in enumerate(_pivots(big)) if r not in drop]
-    assert len(keep) == _width(big) - _width(small), "echelon pivots are not nested"
+    if len(keep) != _width(big) - _width(small):
+        raise InvariantError("echelon pivots are not nested")
     return tuple(tuple(row[c] for c in keep) for row in big)
 
 
@@ -752,7 +753,8 @@ def classify(z: FZipConcrete, max_ext: int = 3) -> StratumLabel:
         ffs = get_field(z.p, z.frob_exp * s)
         gs = g if ffs is z.field else mat_embed(ffs.embedding_from(z.field), g)
         hits, _ = zip_orbit_search(datum, gs, targets, ext=s)
-        assert len(hits) <= 1, "two standard representatives share one orbit"
+        if len(hits) > 1:
+            raise InvariantError("two standard representatives share one orbit")
         if hits:
             w = carrier[targets.index(hits[0])]
             return StratumLabel(w, ClassifyWitness(g, s, hits[0]))

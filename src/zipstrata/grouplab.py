@@ -9,19 +9,21 @@ entrywise Frobenius on the common Levi.  The zip group
 acts on GL_n by g -> p' g p^{-1}.  This module enumerates points of all the
 groups involved, runs exact orbit censuses over small fields, locates the
 Bruhat cell of a matrix from its block rank profile, reduces a stratum to a
-smaller zip datum layer by layer, and turns exact point counts over a tower
-of field extensions into dimension estimates.
+smaller zip datum layer by layer, solves Lang's equation h^{-1} F(h) = g from
+the norm of g and the Frobenius-fixed rows, and turns exact point counts over
+a tower of field extensions into dimension estimates.
 
-Everything is exact integer arithmetic; enumerations refuse to start when the
-predicted size passes EXHAUSTION_GUARD.
+Everything is exact integer arithmetic; enumerations and row scans refuse to
+start when the predicted size passes EXHAUSTION_GUARD.
 """
 
 from __future__ import annotations
 
 import itertools
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import log
+from math import gcd, log
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
@@ -38,10 +40,10 @@ from .ffield import (
     Mat,
     get_field,
     gl_order,
+    mat_embed,
     mat_frobenius,
     mat_identity,
     mat_inv,
-    mat_is_invertible,
     mat_mul,
     mat_rank,
     prime_power,
@@ -191,16 +193,14 @@ class ZipDatumGroupLevel:
     I is the set of simple indices inside the diagonal blocks; P' is the lower
     block parabolic and P the upper block parabolic with those blocks.  J must
     be the mirror image of I across the diagram (the type of P' measured from
-    the standard frame).  g0 shifts the base point of the orbit decomposition
-    and frob_power is the exponent e of the twist x -> x**(p**e), defaulting
-    to the relative Frobenius of the base field.
+    the standard frame).  frob_power is the exponent e of the twist
+    x -> x**(p**e), defaulting to the relative Frobenius of the base field.
     """
 
     n: int
     field: FiniteField
     I: ParabolicType
     J: ParabolicType
-    g0: Optional[Mat] = None
     frob_power: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -215,11 +215,6 @@ class ZipDatumGroupLevel:
                 "J must be the mirror of I across the diagram: "
                 f"expected {sorted(mirror)}, got {sorted(self.J.indices)}"
             )
-        if self.g0 is not None:
-            if len(self.g0) != self.n or any(len(r) != self.n for r in self.g0):
-                raise ValueError("g0 must be an n-by-n matrix")
-            if not mat_is_invertible(self.field, self.g0):
-                raise ValueError("g0 must be invertible")
         if self.frob_power is not None and self.frob_power < 0:
             raise ValueError("the Frobenius exponent cannot be negative")
 
@@ -230,10 +225,6 @@ class ZipDatumGroupLevel:
     @property
     def twist_exponent(self) -> int:
         return self.field.degree if self.frob_power is None else self.frob_power
-
-    @property
-    def base_point(self) -> Mat:
-        return mat_identity(self.n) if self.g0 is None else self.g0
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -251,13 +242,12 @@ def make_zip_datum(
     n: int,
     field: FiniteField,
     I: "ParabolicType | Iterable[int]",
-    g0: Optional[Mat] = None,
     frob_power: Optional[int] = None,
 ) -> ZipDatumGroupLevel:
     """Convenience constructor deriving the mirrored J from I."""
     I = ParabolicType.of(I)
     J = ParabolicType.of(n - i for i in I.indices)
-    return ZipDatumGroupLevel(n, field, I, J, g0, frob_power)
+    return ZipDatumGroupLevel(n, field, I, J, frob_power)
 
 
 def _points_field(datum: ZipDatumGroupLevel, ext: int) -> FiniteField:
@@ -273,16 +263,22 @@ def _points_field(datum: ZipDatumGroupLevel, ext: int) -> FiniteField:
 # ---------------------------------------------------------------------------
 
 
-def _iter_gl(n: int, field: FiniteField) -> Iterator[Mat]:
-    vectors = tuple(itertools.product(range(field.order), repeat=n))
-    zero = vectors[0]
+def _iter_gl(n: int, field: FiniteField, vectors: Iterable[tuple[int, ...]]) -> Iterator[Mat]:
+    """Invertible matrices with rows drawn from `vectors`, in their order.
+
+    A subsequence of the candidates yields a subsequence of the matrices, in
+    the same order.  The tee generates the candidates once, and every row
+    restarts from a copy of its start.
+    """
+    first = itertools.tee(vectors, 1)[0]
+    zero = (0,) * n
 
     def extend(rows: tuple[tuple[int, ...], ...]) -> Iterator[Mat]:
         if len(rows) == n:
             yield rows
             return
+        span = {zero}
         if rows:
-            span = set()
             for coefs in itertools.product(range(field.order), repeat=len(rows)):
                 v = zero
                 for c, r in zip(coefs, rows):
@@ -291,9 +287,7 @@ def _iter_gl(n: int, field: FiniteField) -> Iterator[Mat]:
                             field.add(vi, field.mul(c, ri)) for vi, ri in zip(v, r)
                         )
                 span.add(v)
-        else:
-            span = {zero}
-        for v in vectors:
+        for v in copy(first):
             if v not in span:
                 yield from extend(rows + (v,))
 
@@ -305,7 +299,7 @@ def gl_points(n: int, field: FiniteField) -> tuple[Mat, ...]:
     total = gl_order(n, field.order)
     if total > EXHAUSTION_GUARD:
         raise TooLarge(f"GL_{n} over a field of {field.order} elements has {total} points")
-    return tuple(_iter_gl(n, field))
+    return tuple(_iter_gl(n, field, itertools.product(range(field.order), repeat=n)))
 
 
 def parabolic_points(
@@ -424,17 +418,8 @@ def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
     order_e = zip_group_order(datum, ext)
     moves = _zip_moves(datum, ext)
     points = sorted(_flat(g) for g in gl_points(n, ff))
-    remaining = set(points)
     records = []
-    for seed in points:
-        if seed not in remaining:
-            continue
-        orbit = _walk_orbit(moves, seed)
-        if not orbit <= remaining:
-            raise InvariantError("a zip orbit meets an orbit found before it")
-        remaining -= orbit
-        if order_e % len(orbit):
-            raise InvariantError(f"an orbit of {len(orbit)} points does not divide |E| = {order_e}")
+    for seed, orbit in _orbit_partition(moves, points, order_e):
         rep = tuple(seed[i * n:(i + 1) * n] for i in range(n))
         cell = bruhat_cell(datum, rep, ext).reduced_word()
         records.append(OrbitRecord(rep, len(orbit), order_e // len(orbit), cell))
@@ -937,6 +922,27 @@ def _walk_orbit(
     return orbit
 
 
+def _orbit_partition(
+    moves: Sequence[tuple[_Op, ...]], points: Sequence[tuple[int, ...]], order: int
+) -> Iterator[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
+    """(seed, orbit) for the orbits of the moves on `points`, seeded at the first uncovered point.
+
+    An orbit meeting an earlier one, or whose size does not divide the group
+    order, raises InvariantError; the caller checks that the orbits exhaust.
+    """
+    remaining = set(points)
+    for seed in points:
+        if seed not in remaining:
+            continue
+        orbit = _walk_orbit(moves, seed)
+        if not orbit <= remaining:
+            raise InvariantError("an orbit meets an orbit found before it")
+        remaining -= orbit
+        if order % len(orbit):
+            raise InvariantError(f"an orbit of {len(orbit)} points does not divide |G| = {order}")
+        yield seed, orbit
+
+
 # ---------------------------------------------------------------------------
 # Lang preimages
 # ---------------------------------------------------------------------------
@@ -964,7 +970,17 @@ def lang_preimage_table(
     frob_power: Optional[int] = None,
     max_ext: int = 3,
 ) -> dict[Mat, Optional[tuple[int, Mat]]]:
-    """Batch Lang scan: one sweep per extension level, shared by all targets."""
+    """Batch Lang solver: the least level s <= max_ext and a witness per target.
+
+    F has order m = d*s / gcd(k, d*s) on F_Q, Q = q**s, and h^{-1} F(h) = g
+    has a solution over F_Q exactly when the norm g F(g) ... F^{m-1}(g) is 1
+    (F^j(h) = h g F(g) ... F^{j-1}(g) forces it; Hilbert 90 for GL_n gives
+    the converse); it is computed over the base field, where g lives.  The
+    rows r of a solution satisfy F(r) = r g, and by Galois descent these fixed
+    rows span F_Q^n, so the witness, the first basis of fixed rows in
+    `gl_points` order, is found without backtracking.  Raises TooLarge when a
+    row scan would pass EXHAUSTION_GUARD.
+    """
     if not targets:
         return {}
     k = field.degree if frob_power is None else frob_power
@@ -972,34 +988,29 @@ def lang_preimage_table(
     for t in targets:
         if len(t) != n or any(len(r) != n for r in t):
             raise ValueError("all targets must be n-by-n matrices")
-    found: dict[Mat, Optional[tuple[int, Mat]]] = {t: None for t in targets}
     identity = mat_identity(n)
     if k == 0:
-        for t in targets:
-            if t == identity:
-                found[t] = (1, identity)
-        return found
+        return {t: (1, identity) if t == identity else None for t in targets}
+    found: dict[Mat, Optional[tuple[int, Mat]]] = {t: None for t in targets}
     for s in range(1, max_ext + 1):
-        ff = get_field(field.p, field.degree * s)
-        embed = ff.embedding_from(field)
-        frob = tuple(ff.frobenius(a, k) for a in range(ff.order))
-        wanted = {
-            tuple(tuple(embed[v] for v in row) for row in t): t
-            for t, hit in found.items()
-            if hit is None
-        }
-        if not wanted:
-            break
-        if gl_order(n, ff.order) > EXHAUSTION_GUARD:
-            raise TooLarge(f"cannot sweep GL_{n} over {ff.order} elements")
-        for h in _iter_gl(n, ff):
-            fh = tuple(tuple(frob[v] for v in row) for row in h)
-            value = mat_mul(ff, mat_inv(ff, h), fh)
-            target = wanted.pop(value, None)
-            if target is not None:
-                found[target] = (s, h)
-                if not wanted:
-                    break
+        m = field.degree * s // gcd(k, field.degree * s)
+        for t in [t for t, hit in found.items() if hit is None]:
+            norm = t
+            for j in range(1, m):
+                norm = mat_mul(field, norm, mat_frobenius(field, t, j * k))
+            if norm != identity:
+                continue
+            rows = field.order ** (s * n)
+            if rows > EXHAUSTION_GUARD:
+                raise TooLarge(f"F_{field.order ** s}^{n} has {rows} rows to scan")
+            ff = get_field(field.p, field.degree * s)
+            g = mat_embed(ff.embedding_from(field), t)
+            fixed = (r for r in itertools.product(range(ff.order), repeat=n)
+                     if mat_frobenius(ff, (r,), k) == mat_mul(ff, (r,), g))
+            h = next(_iter_gl(n, ff, fixed), None)
+            if h is None:
+                raise InvariantError("the Frobenius-fixed rows of a norm-one target span no basis")
+            found[t] = (s, h)
     return found
 
 

@@ -68,11 +68,6 @@ class ZipCombinatorics:
         """The twist w -> theta0 * delta(w) * theta0**-1."""
         return self.theta0 * self.delta_image(w) * self.theta0.inverse()
 
-    def psi_index(self, i: int) -> int:
-        j = simple_index_of(self.psi(self.group.simple_reflection(i)))
-        assert j is not None
-        return j
-
 
 def build_zip(
     group: WeylGroup,
@@ -125,7 +120,8 @@ def zip_from_cocharacter(
     for i in I:
         t = w0 * group.simple_reflection(images[i - 1]) * w0
         j = simple_index_of(t)
-        assert j is not None
+        if j is None:
+            raise InvariantError("w0 must carry simple reflections to simple reflections")
         J.add(j)
     return build_zip(group, I, J, images, gl_center)
 

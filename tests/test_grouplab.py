@@ -167,8 +167,6 @@ def test_the_datum_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         ZipDatumGroupLevel(1, F2, (), ())
     with pytest.raises(ValueError):
-        make_zip_datum(2, F2, (), g0=((1, 0), (1, 0)))
-    with pytest.raises(ValueError):
         make_zip_datum(2, F2, (), frob_power=-1)
 
 
@@ -687,9 +685,95 @@ def test_layer_checks_survive_python_minus_o():
 
 
 def test_grouplab_has_no_bare_asserts():
-    tree = ast.parse(Path(grouplab.__file__).read_text())
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert lines == [], f"assert statements vanish under python -O: lines {lines}"
+    package = Path(zipstrata.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Assert)])
+    }
+    assert found == {}, f"assert statements vanish under python -O: {found}"
+
+
+# Each script breaks one result check and must still end in InvariantError.
+ORDINARY_FZIP = "fzip.dieudonne_to_fzip(((1, 0), (0, 0)), ((0, 0), (0, 1)))"
+MINUS_O_CASES = {
+    "cli classify without a witness": (
+        f"""
+        import tempfile
+        real = cli.classify
+        cli.classify = lambda z, max_ext=3: fzip.StratumLabel(real(z, max_ext).w, None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = tmp + "/ordinary.json"
+            with open(path, "w") as handle:
+                handle.write(fzip.fzip_to_json({ORDINARY_FZIP}))
+            cli._dispatch(cli._build_parser().parse_args(["classify", path]))
+        """,
+        "a classify label must carry its witness",
+    ),
+    "ffield without a unit generator": (
+        """
+        ffield.FiniteField._mul_raw = lambda self, a, b: 1
+        ffield.FiniteField(2, 2)
+        """,
+        "the unit group of a finite field must be cyclic",
+    ),
+    "ffield embedding without a root": (
+        """
+        big = ffield.FiniteField(2, 2)
+        big.eval_poly = lambda coeffs, x: 1
+        big.embedding_from(ffield.get_field(2, 1))
+        """,
+        "the small field's modulus must have a root here",
+    ),
+    "fzip graded basis of unnested pivots": (
+        """
+        fzip._graded_basis(((1, 0), (0, 1)), ((1, 1), (0, 0)))
+        """,
+        "echelon pivots are not nested",
+    ),
+    "fzip classify with two hits": (
+        f"""
+        fzip.zip_orbit_search = lambda datum, g, targets, ext=1: (tuple(targets[:2]), 1)
+        fzip.classify({ORDINARY_FZIP})
+        """,
+        "two standard representatives share one orbit",
+    ),
+    "zipdatum cocharacter without simple images": (
+        """
+        zipdatum.simple_index_of = lambda w: None
+        zipdatum.zip_from_cocharacter(coxeter.create_weyl("A", 2), (1,))
+        """,
+        "w0 must carry simple reflections to simple reflections",
+    ),
+    "grouplab Lang rows without a basis": (
+        """
+        grouplab._iter_gl = lambda n, field, vectors: iter(())
+        grouplab.lang_preimage(ffield.get_field(2, 1), ((1, 1), (0, 1)))
+        """,
+        "the Frobenius-fixed rows of a norm-one target span no basis",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MINUS_O_CASES))
+def test_converted_checks_survive_python_minus_o(case):
+    body, message = MINUS_O_CASES[case]
+    script = (
+        "from zipstrata import cli, coxeter, ffield, fzip, grouplab, zipdatum\n"
+        'assert False, "asserts must be off"\n'
+        "try:\n"
+        + textwrap.indent(textwrap.dedent(body).strip(), "    ")
+        + "\nexcept coxeter.InvariantError as exc:\n"
+        '    print("InvariantError:", exc)\n'
+    )
+    src = str(Path(zipstrata.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"InvariantError: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +866,60 @@ def test_lang_preimage_with_the_trivial_twist_only_solves_the_identity():
 def test_lang_preimage_table_of_no_targets_is_empty():
     assert lang_preimage_table(F2, ()) == {}
     assert lang_preimage_table(F3, [], frob_power=0) == {}
+
+
+def _swept_lang_table(field, targets, frob_power, max_ext):
+    """The brute-force oracle: sweep GL_n(F_{q^s}) in order at each level s."""
+    k = field.degree if frob_power is None else frob_power
+    n = len(targets[0])
+    found = {t: None for t in targets}
+    identity = mat_identity(n)
+    if k == 0:
+        return {t: (1, identity) if t == identity else None for t in targets}
+    for s in range(1, max_ext + 1):
+        ff = get_field(field.p, field.degree * s)
+        wanted = {
+            embed_matrix(ff, field, t): t for t, hit in found.items() if hit is None
+        }
+        for h in gl_points(n, ff):
+            if not wanted:
+                break
+            value = mat_mul(ff, mat_inv(ff, h), frobenius_matrix(ff, h, k))
+            target = wanted.pop(value, None)
+            if target is not None:
+                found[target] = (s, h)
+    return found
+
+
+@pytest.mark.parametrize(
+    "field,max_ext,frob_powers",
+    [(F2, 3, range(3)), (F3, 2, range(3)), (F4, 2, (1,))],
+    ids=["F2-ext3", "F3-ext2", "F4-ext2"],
+)
+def test_lang_preimage_table_matches_the_gl_sweep(field, max_ext, frob_powers):
+    targets = gl_points(2, field)
+    for frob_power in frob_powers:
+        expected = _swept_lang_table(field, targets, frob_power, max_ext)
+        assert lang_preimage_table(field, targets, frob_power, max_ext) == expected
+
+
+def test_lang_preimage_reaches_gl2_over_f64():
+    F8 = get_field(2, 3)
+    unipotent = ((1, 1), (0, 1))
+    level, witness = lang_preimage(F8, unipotent)
+    assert level == 2
+    big = get_field(2, 6)
+    assert mat_mul(big, mat_inv(big, witness), frobenius_matrix(big, witness, 3)) == (
+        embed_matrix(big, F8, unipotent)
+    )
+
+
+def test_lang_preimage_refuses_a_level_beyond_the_guard():
+    F64 = get_field(2, 6)
+    unipotent = ((1, 1), (0, 1))
+    assert lang_preimage(F64, unipotent, max_ext=1) is None
+    with pytest.raises(TooLarge):
+        lang_preimage(F64, unipotent, max_ext=2)
 
 
 # ---------------------------------------------------------------------------
