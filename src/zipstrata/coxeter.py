@@ -38,6 +38,10 @@ class InvariantError(AssertionError):
     """A computed result breaks an identity it must satisfy; raised even under -O."""
 
 
+class TooLarge(ValueError):
+    """An enumeration would exceed the exhaustion guard."""
+
+
 @dataclass(frozen=True)
 class WeylGroup:
     """A Weyl group of classical type, identified by family and rank."""

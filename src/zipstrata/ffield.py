@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
-from .coxeter import InvariantError
+from .coxeter import ENUMERATION_GUARD, InvariantError, TooLarge
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -139,6 +139,8 @@ class FiniteField:
 
     Attributes p, d, ext match that reading: q = p**d is the base order and
     order = q**ext the actual size.  Arithmetic only depends on p and d*ext.
+    The tables grow with the order, so a field with more than
+    ENUMERATION_GUARD elements is refused with TooLarge before any is built.
     """
 
     def __init__(self, p: int, d: int, ext: int = 1) -> None:
@@ -152,6 +154,8 @@ class FiniteField:
         self.degree = d * ext
         self.q = p**d
         self.order = p ** (d * ext)
+        if self.order > ENUMERATION_GUARD:
+            raise TooLarge(f"a field of {self.order} elements passes the enumeration guard")
         self.modulus = smallest_irreducible(p, self.degree)
         self._build_tables()
         self._embeddings: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -180,22 +184,19 @@ class FiniteField:
 
     def _build_tables(self) -> None:
         n = self.order
-        # discrete log tables on the unit group
-        gen = None
-        for g in range(1, n):
-            seen, x = set(), 1
-            for _ in range(n - 1):
-                x = self._mul_raw(x, g)
-                seen.add(x)
-            if len(seen) == n - 1:
-                gen = g
+        # discrete log tables on the unit group: each candidate's powers are
+        # walked until they return to 1, for at most n - 1 steps, and the first
+        # walk that covers all n - 1 units is the exp table
+        for gen in range(1, n):
+            exp, x = [1], gen
+            while x != 1 and len(exp) < n - 1:
+                exp.append(x)
+                x = self._mul_raw(x, gen)
+            if len(exp) == n - 1 and len(set(exp)) == n - 1:
                 break
-        if gen is None:
+        else:
             raise InvariantError("the unit group of a finite field must be cyclic")
         self.generator = gen
-        exp = [1] * (n - 1)
-        for k in range(1, n - 1):
-            exp[k] = self._mul_raw(exp[k - 1], gen)
         log = [0] * n
         for k, v in enumerate(exp):
             log[v] = k

@@ -13,6 +13,11 @@ smaller zip datum layer by layer, solves Lang's equation h^{-1} F(h) = g from
 the norm of g and the Frobenius-fixed rows, and turns exact point counts over
 a tower of field extensions into dimension estimates.
 
+Each layer of the reduction stores its two parabolics as keys, one int per
+index, which makes every pattern a preorder total on each ambient block.  A
+stratum's chain of layers does not depend on the field, so it is walked once
+and its point count over each extension is read off it from the bottom up.
+
 Everything is exact integer arithmetic; enumerations and row scans refuse to
 start when the predicted size passes EXHAUSTION_GUARD.
 """
@@ -20,15 +25,17 @@ start when the predicted size passes EXHAUSTION_GUARD.
 from __future__ import annotations
 
 import itertools
+import operator
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, log
+from math import gcd, log, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
     InvariantError,
     ParabolicType,
+    TooLarge,
     WeylElement,
     WeylGroup,
     create_weyl,
@@ -51,12 +58,6 @@ from .ffield import (
 from .zipdatum import ZipCombinatorics, dim_parabolic, zip_from_cocharacter
 
 EXHAUSTION_GUARD = 2_000_000
-
-Pattern = frozenset  # of 0-based (row, col) positions allowed to be nonzero
-
-
-class TooLarge(ValueError):
-    """An enumeration would exceed the exhaustion guard."""
 
 
 class InconsistentGrowth(ValueError):
@@ -87,40 +88,12 @@ def _class_ids(classes: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _equiv_pattern(classes: Sequence[Sequence[int]]) -> Pattern:
-    return frozenset(
-        (i, j) for cls in classes for i in cls for j in cls
-    )
-
-
-def _upper_pattern(classes: Sequence[Sequence[int]], n: int) -> Pattern:
+def _block_positions(
+    classes: Sequence[Sequence[int]], n: int, keep: Callable[[int, int], bool]
+) -> list[tuple[int, int]]:
+    """The positions (i, j), row by row, whose block indices satisfy keep(block(i), block(j))."""
     ids = _class_ids(classes, n)
-    return frozenset((i, j) for i in range(n) for j in range(n) if ids[i] <= ids[j])
-
-
-def _lower_pattern(classes: Sequence[Sequence[int]], n: int) -> Pattern:
-    ids = _class_ids(classes, n)
-    return frozenset((i, j) for i in range(n) for j in range(n) if ids[i] >= ids[j])
-
-
-def _levi_of(pat: Pattern) -> Pattern:
-    return frozenset((i, j) for i, j in pat if (j, i) in pat)
-
-
-def _classes_of_equiv(pat: Pattern, n: int) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
-    out = []
-    for i in range(n):
-        if i in seen:
-            continue
-        cls = sorted(j for j in range(n) if (i, j) in pat)
-        seen.update(cls)
-        out.append(tuple(cls))
-    return tuple(out)
-
-
-def _map_pattern(perm: Sequence[int], pat: Pattern) -> Pattern:
-    return frozenset((perm[i], perm[j]) for i, j in pat)
+    return [(i, j) for i in range(n) for j in range(n) if keep(ids[i], ids[j])]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +284,7 @@ def parabolic_points(
     """Points of the upper (or lower) block parabolic with Levi set `subset`."""
     subset = ParabolicType.of(subset)
     classes = _levi_classes(n, subset)
-    pat = _lower_pattern(classes, n) if lower else _upper_pattern(classes, n)
-    strict = sorted(pat - _equiv_pattern(classes))
+    strict = _block_positions(classes, n, operator.gt if lower else operator.lt)
     total = field.order ** len(strict)
     for cls in classes:
         total *= gl_order(len(cls), field.order)
@@ -349,7 +321,7 @@ def zip_group_points(
     ff = _points_field(datum, ext)
     n = datum.n
     classes = datum.classes
-    upper_strict = sorted(_upper_pattern(classes, n) - _equiv_pattern(classes))
+    upper_strict = _block_positions(classes, n, operator.lt)
     lowers = parabolic_points(n, ff, datum.I, lower=True)
     total = len(lowers) * ff.order ** len(upper_strict)
     if total > EXHAUSTION_GUARD:
@@ -444,7 +416,7 @@ def stabilizer(
     ff = _points_field(datum, ext)
     n = datum.n
     classes = datum.classes
-    pinned = _lower_pattern(classes, n)
+    pinned = _block_positions(classes, n, operator.ge)
     try:
         g_inv = mat_inv(ff, g)
     except ZeroDivisionError:
@@ -502,50 +474,49 @@ def bruhat_cell(datum: ZipDatumGroupLevel, g: Mat, ext: int = 1) -> WeylElement:
 
 @dataclass(frozen=True)
 class _Layer:
+    """One layer of the reduction: a zip datum inside the product of GL blocks `classes`.
+
+    Each parabolic is a key with one int per index: P allows the entry (i, j)
+    exactly when i and j share a block and p_key[i] <= p_key[j], and P'
+    likewise with pp_key, so every pattern is a preorder total on each block.
+    Its Levi classes are the indices sharing both a block and a key, and the
+    twist carries the P' Levi classes onto the P Levi classes.
+    """
+
     classes: tuple[tuple[int, ...], ...]
-    p_pat: Pattern
-    pp_pat: Pattern
+    p_key: tuple[int, ...]
+    pp_key: tuple[int, ...]
     twist_perm: tuple[int, ...]
     twist_power: int
 
     @cached_property
-    def p_levi(self) -> Pattern:
-        return _levi_of(self.p_pat)
+    def ambient_ids(self) -> tuple[int, ...]:
+        return _class_ids(self.classes, len(self.p_key))
+
+    def _levi(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        # the indices sharing a block and a key, each class increasing, ordered by least index
+        classes: dict[tuple[int, int], list[int]] = {}
+        for i, block_and_key in enumerate(zip(self.ambient_ids, key)):
+            classes.setdefault(block_and_key, []).append(i)
+        return tuple(tuple(cls) for cls in classes.values())
 
     @cached_property
-    def pp_levi(self) -> Pattern:
-        return _levi_of(self.pp_pat)
+    def p_levi(self) -> tuple[tuple[int, ...], ...]:
+        return self._levi(self.p_key)
 
-    def ambient_pattern(self) -> Pattern:
-        return _equiv_pattern(self.classes)
+    @cached_property
+    def pp_levi(self) -> tuple[tuple[int, ...], ...]:
+        return self._levi(self.pp_key)
 
     def is_terminal(self) -> bool:
-        amb = self.ambient_pattern()
-        return self.p_pat == amb and self.pp_pat == amb
-
-
-def _check_preorder(pat: Pattern, n: int) -> None:
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pat:
-        succ[i].add(j)
-    for i in range(n):
-        if i not in succ[i]:
-            raise InvariantError("a layer pattern is not reflexive")
-        if any(not succ[j] <= succ[i] for j in succ[i]):
-            raise InvariantError("a layer pattern is not transitive")
+        return self.p_levi == self.classes == self.pp_levi
 
 
 def _top_layer(datum: ZipDatumGroupLevel) -> _Layer:
-    n = datum.n
-    classes = datum.classes
-    full = tuple([tuple(range(n))])
-    return _Layer(
-        full,
-        _upper_pattern(classes, n),
-        _lower_pattern(classes, n),
-        tuple(range(n)),
-        datum.twist_exponent,
-    )
+    # one ambient block; P is upper and P' lower block triangular
+    blocks = _class_ids(datum.classes, datum.n)
+    whole = tuple(range(datum.n))
+    return _Layer((whole,), blocks, tuple(-b for b in blocks), whole, datum.twist_exponent)
 
 
 def _cell_normal_form(
@@ -561,8 +532,7 @@ def _cell_normal_form(
     a o (sigma a' sigma^{-1}), which indexes the orbit at the next layer.
     """
     n = len(x)
-    left = _classes_of_equiv(layer.pp_levi, n)
-    right = _classes_of_equiv(layer.p_levi, n)
+    left, right = layer.pp_levi, layer.p_levi
     left_ids = _class_ids(left, n)
     right_ids = _class_ids(right, n)
     x_inv = _perm_inverse(x)
@@ -583,65 +553,71 @@ def _cell_normal_form(
     return nu, lam
 
 
-def _reduce_layer(layer: _Layer, nu: tuple[int, ...]) -> _Layer:
-    n = len(nu)
-    sigma = layer.twist_perm
-    q_pat = _map_pattern(sigma, layer.pp_levi & _map_pattern(nu, layer.p_pat))
-    qp_pat = layer.p_levi & _map_pattern(_perm_inverse(nu), layer.pp_pat)
-    classes2 = _classes_of_equiv(layer.p_levi, n)
-    nxt = _Layer(classes2, q_pat, qp_pat, _perm_compose(sigma, nu), layer.twist_power)
-    amb2 = nxt.ambient_pattern()
-    if not (q_pat <= amb2 and qp_pat <= amb2):
-        raise InvariantError("the next layer's patterns leave its ambient blocks")
-    _check_preorder(q_pat, n)
-    _check_preorder(qp_pat, n)
-    for i, j in amb2:
-        if (i, j) not in q_pat and (j, i) not in q_pat:
-            raise InvariantError("the next layer's P pattern is not total on its blocks")
-        if (i, j) not in qp_pat and (j, i) not in qp_pat:
-            raise InvariantError("the next layer's P' pattern is not total on its blocks")
-    if _map_pattern(nxt.twist_perm, nxt.pp_levi) != nxt.p_levi:
-        raise InvariantError("the next layer's twist does not match its Levi patterns")
-    return nxt
-
-
 def _reduce_step(layer: _Layer, x: tuple[int, ...]) -> tuple[_Layer, tuple[int, ...], int]:
-    """The next layer, the reduced element and the dimension k of the kernel step."""
+    """The next layer, the reduced element and the dimension k of the kernel step.
+
+    The next layer lives on the P Levi classes, with the keys
+    q_key[sigma(v)] = p_key[nu^{-1}(v)] and qp_key[u] = pp_key[nu(u)] and the
+    twist sigma o nu.  k counts the pairs (i, j) of one ambient block with
+    pp_key[i] < pp_key[j] and p_key[nu^{-1}(i)] < p_key[nu^{-1}(j)]: the
+    roots of the radical of P' that nu^{-1} carries into the radical of P.
+    """
     nu, lam = _cell_normal_form(layer, x)
-    u_pat = layer.p_pat - layer.p_levi
-    up_pat = layer.pp_pat - layer.pp_levi
-    k = len(up_pat & _map_pattern(nu, u_pat))
-    return _reduce_layer(layer, nu), lam, k
+    n = len(nu)
+    sigma, p_key, pp_key = layer.twist_perm, layer.p_key, layer.pp_key
+    nu_inv = _perm_inverse(nu)
+    q_key = [0] * n
+    for v in range(n):
+        q_key[sigma[v]] = p_key[nu_inv[v]]
+    qp_key = tuple(pp_key[nu[u]] for u in range(n))
+    nxt = _Layer(layer.p_levi, tuple(q_key), qp_key, _perm_compose(sigma, nu), layer.twist_power)
+    tau = nxt.twist_perm
+    if tuple(sorted(tuple(sorted(tau[i] for i in cls)) for cls in nxt.pp_levi)) != nxt.p_levi:
+        raise InvariantError(
+            "the next layer's twist does not carry its P' Levi classes onto its P Levi classes"
+        )
+    blocks = nxt.ambient_ids
+    if any(blocks[lam[i]] != blocks[i] for i in range(n)):
+        raise InvariantError("the reduced element leaves the next layer's ambient blocks")
+    amb = layer.ambient_ids
+    k = sum(1 for i in range(n) for j in range(n) if amb[i] == amb[j]
+            and pp_key[i] < pp_key[j] and p_key[nu_inv[i]] < p_key[nu_inv[j]])
+    return nxt, lam, k
+
+
+def _layer_chain(layer: _Layer, x: tuple[int, ...]) -> tuple[list[_Layer], list[int]]:
+    """The layers down to a terminal one and each step's kernel dimension, for every field."""
+    n = len(x)
+    layers, kernel_dims = [layer], []
+    while not layer.is_terminal():
+        layer, x, k = _reduce_step(layer, x)
+        layers.append(layer)
+        kernel_dims.append(k)
+        if len(kernel_dims) > 2 * n * n + 4:
+            raise InvariantError("layer reduction failed to terminate")
+    return layers, kernel_dims
+
+
+def _chain_count(chain: tuple[list[_Layer], list[int]], Q: int) -> int:
+    """The point count over F_Q of the top layer of a chain, from the bottom up."""
+    layers, kernel_dims = chain
+    n = len(layers[0].p_key)
+    orders = [_layer_zip_order(layer, n, Q) for layer in layers]
+    count = prod(gl_order(len(cls), Q) for cls in layers[-1].classes)
+    for i in reversed(range(len(kernel_dims))):
+        numerator = orders[i] * count
+        denominator = Q ** kernel_dims[i] * orders[i + 1]
+        if numerator % denominator:
+            raise InvariantError("a layer's point count is not an exact quotient")
+        count = numerator // denominator
+    return count
 
 
 def _layer_zip_order(layer: _Layer, n: int, Q: int) -> int:
-    u_prime = len(layer.pp_pat) - len(layer.pp_levi)
-    u = len(layer.p_pat) - len(layer.p_levi)
-    order = Q ** (u_prime + u)
-    for cls in _classes_of_equiv(layer.pp_levi, n):
-        order *= gl_order(len(cls), Q)
-    return order
-
-
-def _ambient_order(layer: _Layer, Q: int) -> int:
-    order = 1
-    for cls in layer.classes:
-        order *= gl_order(len(cls), Q)
-    return order
-
-
-def _count_recursive(layer: _Layer, x: tuple[int, ...], Q: int, depth: int) -> int:
-    n = len(x)
-    if depth > 2 * n * n + 4:
-        raise InvariantError("layer reduction failed to terminate")
-    if layer.is_terminal():
-        return _ambient_order(layer, Q)
-    nxt, lam, k = _reduce_step(layer, x)
-    numerator = _layer_zip_order(layer, n, Q) * _count_recursive(nxt, lam, Q, depth + 1)
-    denominator = Q**k * _layer_zip_order(nxt, n, Q)
-    if numerator % denominator:
-        raise InvariantError("a layer's point count is not an exact quotient")
-    return numerator // denominator
+    # each radical has (|block|^2 - sum of |Levi class|^2) / 2 roots per ambient block
+    roots = 2 * sum(len(cls) ** 2 for cls in layer.classes)
+    roots -= sum(len(cls) ** 2 for cls in layer.p_levi + layer.pp_levi)
+    return Q ** (roots // 2) * prod(gl_order(len(cls), Q) for cls in layer.pp_levi)
 
 
 @dataclass(frozen=True)
@@ -671,12 +647,18 @@ def _stratum_rep_perm(datum: ZipDatumGroupLevel, w: WeylElement) -> tuple[int, .
 def reduce_datum(datum: ZipDatumGroupLevel, w: WeylElement) -> ReductionStep:
     """Reduce the stratum labelled w to its zip datum one layer down."""
     _require_stratum_label(datum, w)
-    layer = _top_layer(datum)
-    nxt, lam, k = _reduce_step(layer, _stratum_rep_perm(datum, w))
+    nxt, lam, k = _reduce_step(_top_layer(datum), _stratum_rep_perm(datum, w))
+
+    def pattern(key: tuple[int, ...]) -> frozenset:
+        # the positions (i, j) of one ambient block with key[i] <= key[j]
+        return frozenset(
+            (i, j) for cls in nxt.classes for i in cls for j in cls if key[i] <= key[j]
+        )
+
     return ReductionStep(
         nxt.classes,
-        nxt.p_pat,
-        nxt.pp_pat,
+        pattern(nxt.p_key),
+        pattern(nxt.pp_key),
         nxt.twist_perm,
         nxt.twist_power,
         tuple(v + 1 for v in lam),
@@ -692,14 +674,16 @@ def _require_stratum_label(datum: ZipDatumGroupLevel, w: WeylElement) -> None:
         raise ValueError("stratum labels are minimal coset representatives for I")
 
 
+def _stratum_chain(datum: ZipDatumGroupLevel, w: WeylElement) -> tuple[list[_Layer], list[int]]:
+    _require_stratum_label(datum, w)
+    return _layer_chain(_top_layer(datum), _stratum_rep_perm(datum, w))
+
+
 def stratum_point_count(datum: ZipDatumGroupLevel, w: WeylElement, ext: int = 1) -> int:
     """Exact number of points of the stratum of w over the degree-ext extension."""
-    _require_stratum_label(datum, w)
     if ext < 1:
         raise ValueError("the extension degree must be positive")
-    Q = datum.field.order**ext
-    x = _stratum_rep_perm(datum, w)
-    return _count_recursive(_top_layer(datum), x, Q, 0)
+    return _chain_count(_stratum_chain(datum, w), datum.field.order**ext)
 
 
 def stratum_point_counts(
@@ -738,7 +722,6 @@ def zip_generators(
     ff = _points_field(datum, ext)
     n = datum.n
     classes = datum.classes
-    equiv = _equiv_pattern(classes)
     k = datum.twist_exponent
     one = mat_identity(n)
 
@@ -749,8 +732,8 @@ def zip_generators(
             for a in range(n)
         )
 
-    pairs = [(elementary(i, j, 1), one) for i, j in sorted(_lower_pattern(classes, n) - equiv)]
-    pairs += [(one, elementary(i, j, 1)) for i, j in sorted(_upper_pattern(classes, n) - equiv)]
+    pairs = [(elementary(i, j, 1), one) for i, j in _block_positions(classes, n, operator.gt)]
+    pairs += [(one, elementary(i, j, 1)) for i, j in _block_positions(classes, n, operator.lt)]
     for cls in classes:
         levis = [elementary(cls[0], cls[0], ff.generator)]
         levis += [elementary(i, j, 1) for i in cls for j in cls if i != j]
@@ -1148,9 +1131,13 @@ def counterexample_gl2(q: int) -> Gl2Counterexample:
 def stratum_dimension_from_counts(
     datum: ZipDatumGroupLevel, w: WeylElement, levels: int = 3
 ) -> int:
-    """Estimate the stratum dimension from point counts over `levels` extensions."""
-    counts = [stratum_point_count(datum, w, s) for s in range(1, levels + 1)]
-    return dimension_estimate(counts, datum.field.order)
+    """Estimate the stratum dimension from point counts over `levels` extensions.
+
+    The layer chain is walked once and evaluated at every level.
+    """
+    chain = _stratum_chain(datum, w)
+    q = datum.field.order
+    return dimension_estimate([_chain_count(chain, q**s) for s in range(1, levels + 1)], q)
 
 
 def expected_stratum_dimension(datum: ZipDatumGroupLevel, w: WeylElement) -> int:

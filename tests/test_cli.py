@@ -17,6 +17,7 @@ import json
 import pytest
 
 from zipstrata.cli import RunConfig, main
+from zipstrata.ffield import FiniteField
 from zipstrata.fzip import dieudonne_to_fzip, fzip_to_json
 from zipstrata.grouplab import InvariantError
 
@@ -287,6 +288,17 @@ def test_orbits_rejects_a_composite_field_size_as_usage_error(capsys):
     assert run(capsys, "orbits", "--n", "2", "--q", "6", "--ext", "1")[0] == 2
     assert run(capsys, "orbits", "--n", "2", "--q", "2", "--ext", "3..1")[0] == 2
     assert run(capsys, "orbits", "--n", "2", "--q", "2", "--ext", "x")[0] == 2
+
+
+def test_orbits_refuses_an_oversized_field_before_building_it(capsys, monkeypatch):
+    def no_products(self, a, b):
+        raise AssertionError("no field table may be built")
+
+    monkeypatch.setattr(FiniteField, "_mul_raw", no_products)
+    code, out, err = run(capsys, "orbits", "--n", "2", "--q", "4194304")
+    assert code == 3
+    assert out == ""
+    assert "4194304 elements" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+from zipstrata import ffield, grouplab
+from zipstrata.coxeter import TooLarge
 from zipstrata.ffield import (
     FiniteField,
     _is_irreducible,
@@ -80,6 +82,34 @@ def test_field_rejects_bad_parameters():
         FiniteField(4, 1)
     with pytest.raises(ValueError):
         FiniteField(2, 0)
+
+
+def test_field_construction_walks_each_candidate_once(monkeypatch):
+    calls = []
+    real = FiniteField._mul_raw
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(FiniteField, "_mul_raw", counting)
+    field = FiniteField(2, 12)
+    assert len(calls) <= 2 * (field.order - 1)
+    for a, b in ((3, 5), (4095, 4095), (1234, 777)):
+        assert field.mul(a, b) == real(field, a, b)
+
+
+def test_oversized_fields_are_refused_before_any_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no table may be built for a refused field")
+
+    monkeypatch.setattr(FiniteField, "_mul_raw", refuse)
+    monkeypatch.setattr(ffield, "smallest_irreducible", refuse)
+    with pytest.raises(TooLarge, match="4194304"):
+        FiniteField(2, 22)
+    with pytest.raises(TooLarge):
+        get_field(2, 21)
+    assert TooLarge is grouplab.TooLarge
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])

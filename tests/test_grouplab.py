@@ -7,6 +7,7 @@ known point-count laws.
 """
 
 import ast
+import hashlib
 import os
 import random
 import subprocess
@@ -547,8 +548,8 @@ def cell_normal_form_by_scan(layer, x):
     """The shortest element of the double coset and the lex-first left factor."""
     n = len(x)
     compose, inverse = grouplab._perm_compose, grouplab._perm_inverse
-    left_classes = grouplab._classes_of_equiv(grouplab._levi_of(layer.pp_pat), n)
-    right_classes = grouplab._classes_of_equiv(grouplab._levi_of(layer.p_pat), n)
+    left_classes = layer.pp_levi
+    right_classes = layer.p_levi
     left = class_preserving_perms(left_classes, n)
     right = class_preserving_perms(right_classes, n)
     coset = {compose(a_prime, compose(x, a)) for a_prime in left for a in right}
@@ -661,14 +662,38 @@ def test_k3_datum_point_counts_exhaust_gl22_and_every_stratum_reduces():
         assert sorted(step.element) == list(range(1, 23))
 
 
+# sha256 of the point counts and the first reduction step of every stratum of
+# every GL_n block type with n <= 5, over F_2, F_3 and F_4 (every Frobenius
+# exponent 0..4 over F_4), captured while the layer patterns were sets of pairs
+LAYER_DIGEST = "1297951f9d38025a7a71d8ac366fb9c06ec704ec8f0d79581361e1b07f74c371"
+
+
+def test_counts_and_reductions_match_the_pinned_digest():
+    h = hashlib.sha256()
+    cases = [(F2, None), (F3, None)] + [(F4, e) for e in range(5)]
+    for field, e in cases:
+        for n in range(2, 6):
+            for k in range(n):
+                for I in combinations(range(1, n), k):
+                    d = make_zip_datum(n, field, I, e)
+                    for w, count in stratum_point_counts(d):
+                        s = reduce_datum(d, w)
+                        h.update(repr((
+                            field.order, e, n, I, w.window, count, s.ambient,
+                            sorted(s.p_pattern), sorted(s.p_prime_pattern), s.twist_perm,
+                            s.twist_power, s.element, s.kernel_dim, s.terminal,
+                        )).encode())
+    assert h.hexdigest() == LAYER_DIGEST
+
+
 def test_layer_checks_survive_python_minus_o():
     script = textwrap.dedent(
         """
         from zipstrata import grouplab
         from zipstrata.ffield import get_field
         assert False, "asserts must be off"
-        # an empty pattern map leaves the next layer's patterns without their diagonal
-        grouplab._map_pattern = lambda perm, pat: frozenset()
+        # a layer that never reads as terminal is reduced until the depth bound
+        grouplab._Layer.is_terminal = lambda self: False
         try:
             grouplab.stratum_point_counts(grouplab.make_zip_datum(2, get_field(2, 1), ()))
         except grouplab.InvariantError as exc:
@@ -681,7 +706,7 @@ def test_layer_checks_survive_python_minus_o():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "InvariantError: a layer pattern is not reflexive\n"
+    assert result.stdout == "InvariantError: layer reduction failed to terminate\n"
 
 
 def test_grouplab_has_no_bare_asserts():
@@ -752,6 +777,26 @@ MINUS_O_CASES = {
         grouplab.lang_preimage(ffield.get_field(2, 1), ((1, 1), (0, 1)))
         """,
         "the Frobenius-fixed rows of a norm-one target span no basis",
+    ),
+    "grouplab layer twist off the Levi classes": (
+        """
+        import dataclasses
+        real = grouplab._top_layer
+        # mirror P's blocks into P': the identity twist no longer carries one onto the other
+        grouplab._top_layer = lambda d: dataclasses.replace(
+            real(d), pp_key=tuple(-b for b in reversed(real(d).p_key))
+        )
+        grouplab.stratum_point_counts(grouplab.make_zip_datum(3, ffield.get_field(2, 1), (1,)))
+        """,
+        "the next layer's twist does not carry its P' Levi classes onto its P Levi classes",
+    ),
+    "grouplab reduced element off the ambient blocks": (
+        """
+        real = grouplab._cell_normal_form
+        grouplab._cell_normal_form = lambda layer, x: (real(layer, x)[0], (1, 0))
+        grouplab.stratum_point_counts(grouplab.make_zip_datum(2, ffield.get_field(2, 1), ()))
+        """,
+        "the reduced element leaves the next layer's ambient blocks",
     ),
 }
 
@@ -955,6 +1000,25 @@ def test_stratum_dimensions_equal_parabolic_dimension_plus_length():
                 assert stratum_dimension_from_counts(d, w) == (
                     expected_stratum_dimension(d, w)
                 )
+
+
+def test_dimension_from_counts_walks_the_layer_chain_once(monkeypatch):
+    calls = []
+    real = grouplab._cell_normal_form
+
+    def counting(layer, x):
+        calls.append(x)
+        return real(layer, x)
+
+    monkeypatch.setattr(grouplab, "_cell_normal_form", counting)
+    d = make_zip_datum(4, F2, (2,))
+    for w in min_coset_reps(d.weyl, d.I):
+        stratum_point_count(d, w)
+        once = len(calls)
+        calls.clear()
+        assert stratum_dimension_from_counts(d, w, 3) == expected_stratum_dimension(d, w)
+        assert len(calls) == once > 0
+        calls.clear()
 
 
 def test_gl4_borel_dimensions_range_over_ten_to_sixteen():
