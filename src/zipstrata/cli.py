@@ -1,9 +1,11 @@
 """Batch command-line surface tying the library modules together.
 
 Each subcommand is a self-contained run: flags in, one deterministic result
-stream out.  Results go to stdout, or to a file named by --out written
-atomically (temp file plus rename); progress notes go to stderr so that
-result streams stay clean for piping.
+stream out.  A subcommand's handler, registered as its ``run`` default, reads
+its flags from the parsed namespace and returns its result text with its exit
+code; ``main`` writes that text once, to stdout or to a file named by --out
+written atomically (temp file plus rename), and maps exceptions to exit codes.
+Progress notes go to stderr so that result streams stay clean for piping.
 
 Exit codes
 ----------
@@ -20,21 +22,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coxeter import create_weyl, longest_element, word_string
 from .ffield import get_field, is_prime, prime_power
-from .fzip import Undetermined, classify, enumerate_strata, fzip_from_json, fzip_type
+from .fzip import classify, enumerate_strata, fzip_from_json, fzip_type
 from .grouplab import (
     InvariantError,
-    TooLarge,
     counterexample_gl2,
     make_zip_datum,
     zip_group_order,
     zip_orbit_census,
 )
-from .witt import check_reduction, make_ring, orbit_census_level
+from .witt import check_reduction, orbit_census_level
 from .zipdatum import (
     PsiMismatch,
     build_zip,
@@ -46,22 +46,12 @@ from .zipdatum import (
     zip_from_cocharacter,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 CHECK_FAILED = 4
 INVARIANT_ERROR = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed invocation: the command, its parameters, and output routing."""
-
-    command: str
-    parameters: dict
-    output_path: Optional[str] = None
-    format: str = "text"
 
 
 class _UsageError(ValueError):
@@ -176,14 +166,13 @@ def _datum_from_flags(ns: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 
-def cmd_weyl(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_weyl(ns: argparse.Namespace) -> tuple[str, int]:
     try:
-        group = create_weyl(p["family"], p["rank"])
+        group = create_weyl(ns.family, ns.rank)
     except ValueError as exc:
         raise _UsageError(str(exc))
     w0 = longest_element(group)
-    if cfg.format == "json":
+    if ns.format == "json":
         text = _dump_json(
             {
                 "family": group.family,
@@ -201,22 +190,19 @@ def cmd_weyl(cfg: RunConfig) -> int:
             f"positive_roots: {group.positive_root_count}\n"
             f"longest_word: {word_string(w0)}\n"
         )
-    _emit(text, cfg.output_path)
-    return 0
+    return text, 0
 
 
-def cmd_strata(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def cmd_strata(ns: argparse.Namespace) -> tuple[str, int]:
     datum = _datum_from_flags(ns)
     _progress(
         f"building stratum poset for {datum.group.family}{datum.group.rank} "
         f"with I={sorted(datum.I.indices)}"
     )
-    poset = stratum_poset(datum)
-    _emit(export_poset(poset, cfg.format), cfg.output_path)
-    return 0
+    return export_poset(stratum_poset(datum), ns.format), 0
 
 
-def cmd_purity_check(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def cmd_purity_check(ns: argparse.Namespace) -> tuple[str, int]:
     if ns.replay is not None:
         with open(ns.replay, "r", encoding="utf-8") as handle:
             poset = import_poset(handle.read())
@@ -229,45 +215,42 @@ def cmd_purity_check(cfg: RunConfig, ns: argparse.Namespace) -> int:
             f"with I={sorted(datum.I.indices)}"
         )
         report = purity_check(datum)
-    payload = {
-        "passed": report.passed,
-        "strata_checked": report.strata_checked,
-        "violations": [
-            {
-                "stratum": list(v.stratum),
-                "boundary_stratum": list(v.boundary_stratum),
-                "length": v.length,
-                "boundary_length": v.boundary_length,
-            }
-            for v in report.violations
-        ],
-    }
-    if cfg.format == "json":
-        text = _dump_json(payload)
-    else:
-        lines = [
-            f"strata checked: {report.strata_checked}",
-            f"result: {'PASS' if report.passed else 'FAIL'}",
-        ]
-        for v in report.violations:
-            lines.append(
-                f"violation: stratum {list(v.stratum)} (length {v.length}) covers "
-                f"{list(v.boundary_stratum)} (length {v.boundary_length})"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.output_path)
-    return 0 if report.passed else CHECK_FAILED
+    code = 0 if report.passed else CHECK_FAILED
+    if ns.format == "json":
+        payload = {
+            "passed": report.passed,
+            "strata_checked": report.strata_checked,
+            "violations": [
+                {
+                    "stratum": list(v.stratum),
+                    "boundary_stratum": list(v.boundary_stratum),
+                    "length": v.length,
+                    "boundary_length": v.boundary_length,
+                }
+                for v in report.violations
+            ],
+        }
+        return _dump_json(payload), code
+    lines = [
+        f"strata checked: {report.strata_checked}",
+        f"result: {'PASS' if report.passed else 'FAIL'}",
+    ]
+    for v in report.violations:
+        lines.append(
+            f"violation: stratum {list(v.stratum)} (length {v.length}) covers "
+            f"{list(v.boundary_stratum)} (length {v.boundary_length})"
+        )
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    p = cfg.parameters
-    with open(p["input"], "r", encoding="utf-8") as handle:
+def cmd_classify(ns: argparse.Namespace) -> tuple[str, int]:
+    with open(ns.input, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
         z = fzip_from_json(text)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed module description: {exc!r}")
-    label = classify(z, max_ext=p["max_ext"])
+    label = classify(z, max_ext=ns.max_ext)
     poset = enumerate_strata(fzip_type(z))
     length = label.w.length
     top = max(poset.length_of)
@@ -281,7 +264,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         position = "intermediate"
     if label.certificate is None:
         raise InvariantError("a classify label must carry its witness")
-    if cfg.format == "json":
+    if ns.format == "json":
         text = _dump_json(
             {
                 "word": list(label.w.reduced_word()),
@@ -298,23 +281,22 @@ def cmd_classify(cfg: RunConfig) -> int:
             f"witness extension: {label.certificate.ext}\n"
             f"strata in the ambient poset: {len(poset.carrier)}\n"
         )
-    _emit(text, cfg.output_path)
-    return 0
+    return text, 0
 
 
-def cmd_orbits(cfg: RunConfig) -> int:
-    p = cfg.parameters
-    prime, degree = _field_size(p["q"])
-    n = p["n"]
+def cmd_orbits(ns: argparse.Namespace) -> tuple[str, int]:
+    exts = _parse_ext_range(ns.ext)
+    prime, degree = _field_size(ns.q)
+    n = ns.n
     if n < 2:
         raise _UsageError("--n must be at least 2")
-    if p["blocks"] is not None:
-        simples = _blocks_to_simples(_parse_int_list(p["blocks"], "--blocks"), n)
+    if ns.blocks is not None:
+        simples = _blocks_to_simples(_parse_int_list(ns.blocks, "--blocks"), n)
     else:
         simples = ()
     datum = make_zip_datum(n, get_field(prime, degree), simples)
     censuses = []
-    for ext in p["exts"]:
+    for ext in exts:
         _progress(f"sweeping zip orbits over the degree-{ext} extension")
         census = zip_orbit_census(datum, ext)
         order_e = zip_group_order(datum, ext)
@@ -338,43 +320,34 @@ def cmd_orbits(cfg: RunConfig) -> int:
     text = _dump_json(
         {
             "n": n,
-            "q": p["q"],
+            "q": ns.q,
             "I": sorted(datum.I.indices),
             "censuses": censuses,
         }
     )
-    _emit(text, cfg.output_path)
-    return 0
+    return text, 0
 
 
-def cmd_witt(cfg: RunConfig) -> int:
-    p = cfg.parameters
-    if not is_prime(p["p"]):
-        raise _UsageError(f"--p must be prime, got {p['p']}")
-    if p["d"] < 1 or p["m"] < 1 or p["n"] < 1:
+def cmd_witt(ns: argparse.Namespace) -> tuple[str, int]:
+    n, p, d, m, d_block = ns.n, ns.p, ns.d, ns.m, ns.d_block
+    if not is_prime(p):
+        raise _UsageError(f"--p must be prime, got {p}")
+    if d < 1 or m < 1 or n < 1:
         raise _UsageError("--d, --m and --n must be positive")
-    if not 0 <= p["d_block"] <= p["n"]:
+    if not 0 <= d_block <= n:
         raise _UsageError("--d-block must lie between 0 and n")
-    make_ring(p["p"], p["d"], p["m"])
-    if p["check_reduction"]:
+    if ns.check_reduction:
         _progress(
-            f"checking orbit reduction from level {p['m']} to level 1 "
-            f"for n={p['n']}, p={p['p']}, d={p['d']}"
+            f"checking orbit reduction from level {m} to level 1 "
+            f"for n={n}, p={p}, d={d}"
         )
-        report = check_reduction(p["n"], p["p"], p["d"], p["m"], p["d_block"])
-        _emit(_dump_json(report), cfg.output_path)
-        return 0 if not report["violations"] else CHECK_FAILED
-    _progress(f"sweeping display orbits at level {p['m']}")
-    census = orbit_census_level(p["n"], p["p"], p["d"], p["m"], p["d_block"])
+        report = check_reduction(n, p, d, m, d_block)
+        return _dump_json(report), CHECK_FAILED if report["violations"] else 0
+    _progress(f"sweeping display orbits at level {m}")
+    census = orbit_census_level(n, p, d, m, d_block)
     text = _dump_json(
         {
-            "params": {
-                "n": p["n"],
-                "p": p["p"],
-                "d": p["d"],
-                "m": p["m"],
-                "d_block": p["d_block"],
-            },
+            "params": {"n": n, "p": p, "d": d, "m": m, "d_block": d_block},
             "level": census.ext,
             "group_order": census.group_order,
             "orbits": [
@@ -387,19 +360,20 @@ def cmd_witt(cfg: RunConfig) -> int:
             ],
         }
     )
-    _emit(text, cfg.output_path)
-    return 0
+    return text, 0
 
 
-def cmd_counterexample(cfg: RunConfig) -> int:
-    p = cfg.parameters
-    for q in p["qs"]:
+def cmd_counterexample(ns: argparse.Namespace) -> tuple[str, int]:
+    qs = _parse_int_list(ns.q, "--q")
+    if not qs:
+        raise _UsageError("--q must list at least one prime power")
+    for q in qs:
         _field_size(q)
     rows = []
-    for q in p["qs"]:
+    for q in qs:
         _progress(f"certifying the conjugation counterexample over F_{q}")
         rows.append(counterexample_gl2(q))
-    if cfg.format == "json":
+    if ns.format == "json":
         text = _dump_json(
             [
                 {
@@ -429,12 +403,11 @@ def cmd_counterexample(cfg: RunConfig) -> int:
             "the identity joins the orbit closure inside the fiber, two dimensions down"
         )
         text = "\n".join(lines) + "\n"
-    _emit(text, cfg.output_path)
-    return 0
+    return text, 0
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# parser and the one run path
 # ---------------------------------------------------------------------------
 
 
@@ -461,21 +434,25 @@ def _build_parser() -> argparse.ArgumentParser:
     weyl.add_argument("--rank", required=True, type=int)
     weyl.add_argument("--format", default="text", choices=["text", "json"])
     weyl.add_argument("--out")
+    weyl.set_defaults(run=cmd_weyl)
 
     strata = commands.add_parser("strata", help="export a stratum poset")
     _add_strata_flags(strata)
     strata.add_argument("--format", default="json", choices=["json", "dot"])
+    strata.set_defaults(run=cmd_strata)
 
     purity = commands.add_parser("purity-check", help="check one-step closures")
     _add_strata_flags(purity)
     purity.add_argument("--replay", help="check a previously exported poset file")
     purity.add_argument("--format", default="text", choices=["text", "json"])
+    purity.set_defaults(run=cmd_purity_check)
 
     cls = commands.add_parser("classify", help="classify a filtered Frobenius module")
     cls.add_argument("input", help="path to a JSON file describing the module")
     cls.add_argument("--max-ext", dest="max_ext", type=int, default=3)
     cls.add_argument("--format", default="text", choices=["text", "json"])
     cls.add_argument("--out")
+    cls.set_defaults(run=cmd_classify)
 
     orbits = commands.add_parser("orbits", help="exhaustive zip-orbit census")
     orbits.add_argument("--n", required=True, type=int)
@@ -484,6 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orbits.add_argument("--blocks", help="comma block sizes, default all singletons")
     orbits.add_argument("--format", default="json", choices=["json"])
     orbits.add_argument("--out")
+    orbits.set_defaults(run=cmd_orbits)
 
     witt = commands.add_parser("witt", help="display orbits over truncated Witt rings")
     witt.add_argument("--p", required=True, type=int)
@@ -494,59 +472,15 @@ def _build_parser() -> argparse.ArgumentParser:
     witt.add_argument("--check-reduction", action="store_true")
     witt.add_argument("--format", default="json", choices=["json"])
     witt.add_argument("--out")
+    witt.set_defaults(run=cmd_witt)
 
     cx = commands.add_parser("counterexample", help="the conjugation-orbit regression")
     cx.add_argument("--q", required=True, help="comma list of prime powers")
     cx.add_argument("--format", default="text", choices=["text", "json"])
     cx.add_argument("--out")
+    cx.set_defaults(run=cmd_counterexample)
 
     return parser
-
-
-def _dispatch(ns: argparse.Namespace) -> int:
-    out, fmt = getattr(ns, "out", None), getattr(ns, "format", "text")
-    if ns.command == "weyl":
-        return cmd_weyl(RunConfig(ns.command, {"family": ns.family, "rank": ns.rank}, out, fmt))
-    if ns.command == "strata":
-        return cmd_strata(RunConfig(ns.command, vars(ns), out, fmt), ns)
-    if ns.command == "purity-check":
-        return cmd_purity_check(RunConfig(ns.command, vars(ns), out, fmt), ns)
-    if ns.command == "classify":
-        return cmd_classify(
-            RunConfig(ns.command, {"input": ns.input, "max_ext": ns.max_ext}, out, fmt)
-        )
-    if ns.command == "orbits":
-        exts = _parse_ext_range(ns.ext)
-        return cmd_orbits(
-            RunConfig(
-                ns.command,
-                {"n": ns.n, "q": ns.q, "exts": exts, "blocks": ns.blocks},
-                out,
-                fmt,
-            )
-        )
-    if ns.command == "witt":
-        return cmd_witt(
-            RunConfig(
-                ns.command,
-                {
-                    "p": ns.p,
-                    "d": ns.d,
-                    "m": ns.m,
-                    "n": ns.n,
-                    "d_block": ns.d_block,
-                    "check_reduction": ns.check_reduction,
-                },
-                out,
-                fmt,
-            )
-        )
-    if ns.command == "counterexample":
-        qs = _parse_int_list(ns.q, "--q")
-        if not qs:
-            raise _UsageError("--q must list at least one prime power")
-        return cmd_counterexample(RunConfig(ns.command, {"qs": qs}, out, fmt))
-    raise AssertionError(f"unhandled command {ns.command}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -556,14 +490,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _dispatch(ns)
+        text, code = ns.run(ns)
+        _emit(text, ns.out)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (PsiMismatch, Undetermined, TooLarge) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except InvariantError as exc:

@@ -442,7 +442,7 @@ def parabolic_elements(group: WeylGroup, subset: "ParabolicType | Iterable[int]"
     K = ParabolicType.of(subset)
     K.validate(group)
     if parabolic_order(group, K) > ENUMERATION_GUARD:
-        raise ValueError("parabolic subgroup too large to enumerate")
+        raise TooLarge("parabolic subgroup too large to enumerate")
     gens = [group.simple_reflection(i) for i in K]
     seen = {group.identity()}
     frontier = [group.identity()]
@@ -461,7 +461,7 @@ def parabolic_elements(group: WeylGroup, subset: "ParabolicType | Iterable[int]"
 @lru_cache(maxsize=None)
 def _all_elements(group: WeylGroup) -> tuple[WeylElement, ...]:
     if group.order > ENUMERATION_GUARD:
-        raise ValueError("group too large to enumerate")
+        raise TooLarge("group too large to enumerate")
     return parabolic_elements(group, range(1, group.rank + 1))
 
 

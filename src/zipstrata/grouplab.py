@@ -19,7 +19,7 @@ stratum's chain of layers does not depend on the field, so it is walked once
 and its point count over each extension is read off it from the bottom up.
 
 Everything is exact integer arithmetic; enumerations and row scans refuse to
-start when the predicted size passes EXHAUSTION_GUARD.
+start when the predicted size passes coxeter.ENUMERATION_GUARD.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from math import gcd, log, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
+    ENUMERATION_GUARD,
     InvariantError,
     ParabolicType,
     TooLarge,
@@ -56,8 +57,6 @@ from .ffield import (
     prime_power,
 )
 from .zipdatum import ZipCombinatorics, dim_parabolic, zip_from_cocharacter
-
-EXHAUSTION_GUARD = 2_000_000
 
 
 class InconsistentGrowth(ValueError):
@@ -270,7 +269,7 @@ def _iter_gl(n: int, field: FiniteField, vectors: Iterable[tuple[int, ...]]) -> 
 def gl_points(n: int, field: FiniteField) -> tuple[Mat, ...]:
     """All invertible n-by-n matrices over the field, in a fixed order."""
     total = gl_order(n, field.order)
-    if total > EXHAUSTION_GUARD:
+    if total > ENUMERATION_GUARD:
         raise TooLarge(f"GL_{n} over a field of {field.order} elements has {total} points")
     return tuple(_iter_gl(n, field, itertools.product(range(field.order), repeat=n)))
 
@@ -288,7 +287,7 @@ def parabolic_points(
     total = field.order ** len(strict)
     for cls in classes:
         total *= gl_order(len(cls), field.order)
-    if total > EXHAUSTION_GUARD:
+    if total > ENUMERATION_GUARD:
         raise TooLarge(f"the parabolic has {total} points")
     blocks = [gl_points(len(cls), field) for cls in classes]
     out = []
@@ -324,7 +323,7 @@ def zip_group_points(
     upper_strict = _block_positions(classes, n, operator.lt)
     lowers = parabolic_points(n, ff, datum.I, lower=True)
     total = len(lowers) * ff.order ** len(upper_strict)
-    if total > EXHAUSTION_GUARD:
+    if total > ENUMERATION_GUARD:
         raise TooLarge(f"the zip group has {total} points")
     k = datum.twist_exponent
     out = []
@@ -746,7 +745,7 @@ def zip_orbit_search(
     g: Mat,
     targets: Sequence[Mat],
     ext: int = 1,
-    guard: int = EXHAUSTION_GUARD,
+    guard: int = ENUMERATION_GUARD,
 ) -> tuple[tuple[Mat, ...], int]:
     """Sweep the zip orbit of g, reporting which targets it meets.
 
@@ -880,7 +879,7 @@ def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ..
 def _walk_orbit(
     moves: Sequence[tuple[_Op, ...]],
     start: tuple[int, ...],
-    guard: int = EXHAUSTION_GUARD,
+    guard: int = ENUMERATION_GUARD,
 ) -> set[tuple[int, ...]]:
     """The orbit of a flat matrix under the finite group the moves generate.
 
@@ -962,7 +961,7 @@ def lang_preimage_table(
     rows r of a solution satisfy F(r) = r g, and by Galois descent these fixed
     rows span F_Q^n, so the witness, the first basis of fixed rows in
     `gl_points` order, is found without backtracking.  Raises TooLarge when a
-    row scan would pass EXHAUSTION_GUARD.
+    row scan would pass ENUMERATION_GUARD.
     """
     if not targets:
         return {}
@@ -984,7 +983,7 @@ def lang_preimage_table(
             if norm != identity:
                 continue
             rows = field.order ** (s * n)
-            if rows > EXHAUSTION_GUARD:
+            if rows > ENUMERATION_GUARD:
                 raise TooLarge(f"F_{field.order ** s}^{n} has {rows} rows to scan")
             ff = get_field(field.p, field.degree * s)
             g = mat_embed(ff.embedding_from(field), t)

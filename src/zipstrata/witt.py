@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence, Union
 
+from .coxeter import ENUMERATION_GUARD
 from .ffield import (
     FiniteField,
     Mat,
@@ -57,7 +58,6 @@ from .grouplab import (
 )
 
 __all__ = [
-    "CENSUS_GUARD",
     "DisplayGroupElement",
     "GaloisRing",
     "GaloisRingElement",
@@ -83,9 +83,6 @@ __all__ = [
     "orbit_census_level",
     "verschiebung",
 ]
-
-# largest matrix-space size a census is willing to enumerate
-CENSUS_GUARD = 2_000_000
 
 
 class NotInGroup(ValueError):
@@ -658,7 +655,7 @@ def display_group_points(ring: GaloisRing, n: int, d_block: int) -> tuple[Displa
     total = display_group_order(ring, n, d_block)
     db, rest = d_block, n - d_block
     scan = max(ring.size ** (db * db), ring.size ** (rest * rest))
-    if total > CENSUS_GUARD or scan > CENSUS_GUARD:
+    if total > ENUMERATION_GUARD or scan > ENUMERATION_GUARD:
         raise TooLarge(f"the display group has {total} points")
     out = []
     for a in _invertible_blocks(ring, db):
@@ -788,7 +785,7 @@ def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[fro
     uncovered point; |G| comes from its closed form.
     """
     space = ring.size ** (n * n)
-    if space > CENSUS_GUARD:
+    if space > ENUMERATION_GUARD:
         raise TooLarge(f"the level-{ring.m} matrix space has {space} points")
     order = display_group_order(ring, n, d_block)
     elements = _elements_by_code(ring)

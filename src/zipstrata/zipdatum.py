@@ -315,38 +315,28 @@ class PurityReport:
     strata_checked: int
 
 
-def _purity_from_relation(
-    lengths: Sequence[int],
-    leq: Sequence[Sequence[bool]],
-    words: Sequence[tuple[int, ...]],
-) -> PurityReport:
-    """Every maximal stratum i of the boundary of j must have length one less.
+def purity_check(z: ZipCombinatorics) -> PurityReport:
+    """Check that every maximal boundary stratum drops the length by exactly one."""
+    return purity_check_poset(stratum_poset(z))
+
+
+def purity_check_poset(poset: StratumPoset) -> PurityReport:
+    """Purity on an explicit poset, e.g. one replayed from a file.
 
     The maximal boundary strata of j are the i with (i, j) a cover of the
-    relation; violations are listed by j, then by i.
+    relation; every one must have length one less.  Violations are listed by j,
+    then by i.
     """
-    covers = sorted(_covers_from_leq(_bit_rows(leq)), key=lambda c: (c[1], c[0]))
+    rows = _bit_rows(poset._need_order())
+    lengths = poset.length_of
+    words = [w.reduced_word() for w in poset.carrier]
+    covers = sorted(_covers_from_leq(rows), key=lambda c: (c[1], c[0]))
     violations = tuple(
         PurityViolation(words[j], words[i], lengths[j], lengths[i])
         for i, j in covers
         if lengths[j] - lengths[i] != 1
     )
     return PurityReport(not violations, violations, len(lengths))
-
-
-def purity_check(z: ZipCombinatorics) -> PurityReport:
-    """Check that every maximal boundary stratum drops the length by exactly one."""
-    poset = stratum_poset(z)
-    leq = poset._need_order()
-    words = [w.reduced_word() for w in poset.carrier]
-    return _purity_from_relation(poset.length_of, leq, words)
-
-
-def purity_check_poset(poset: StratumPoset) -> PurityReport:
-    """Purity on an explicit poset, e.g. one replayed from a file."""
-    leq = poset._need_order()
-    words = [w.reduced_word() for w in poset.carrier]
-    return _purity_from_relation(poset.length_of, leq, words)
 
 
 # ---------------------------------------------------------------------------

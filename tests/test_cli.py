@@ -10,13 +10,12 @@ that broke an invariant.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from zipstrata.cli import RunConfig, main
+from zipstrata.cli import main
 from zipstrata.ffield import FiniteField
 from zipstrata.fzip import dieudonne_to_fzip, fzip_to_json
 from zipstrata.grouplab import InvariantError
@@ -434,14 +433,8 @@ def test_counterexample_over_an_oversized_field_is_a_domain_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# output routing
 # ---------------------------------------------------------------------------
-
-
-def test_run_config_is_a_frozen_record():
-    cfg = RunConfig("weyl", {"family": "A", "rank": 3}, None, "text")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.command = "strata"
 
 
 def test_output_files_are_written_atomically(capsys, tmp_path):
@@ -454,3 +447,80 @@ def test_output_files_are_written_atomically(capsys, tmp_path):
     assert out == ""
     assert json.loads(target.read_text())["order"] == 24
     assert list(tmp_path.iterdir()) == [target]
+
+
+def corrupted_export(tmp_path):
+    poset_file = tmp_path / "corrupted.json"
+    assert main(["strata", "--group", "A", "--rank", "2", "--I", "1", "--out", str(poset_file)]) == 0
+    payload = json.loads(poset_file.read_text())
+    payload["strata"][-1]["length"] += 5
+    poset_file.write_text(json.dumps(payload))
+    return str(poset_file)
+
+
+# each case builds its argv from tmp_path and gives the exit code it must end in
+OUT_PARITY_CASES = {
+    "weyl text": (lambda tmp: ["weyl", "--family", "A", "--rank", "3"], 0),
+    "weyl json": (lambda tmp: ["weyl", "--family", "B", "--rank", "2", "--format", "json"], 0),
+    "strata json": (lambda tmp: ["strata", "--group", "B", "--rank", "3", "--I", "1,2"], 0),
+    "strata dot": (
+        lambda tmp: ["strata", "--group", "GL", "--n", "3", "--blocks", "1,2", "--format", "dot"],
+        0,
+    ),
+    "purity-check": (lambda tmp: ["purity-check", "--group", "B", "--rank", "3", "--I", "2"], 0),
+    "purity-check replay of a corrupted export": (
+        lambda tmp: ["purity-check", "--replay", corrupted_export(tmp)],
+        4,
+    ),
+    "classify": (lambda tmp: ["classify", write_fzip(tmp, "ord.json", ORDINARY)], 0),
+    "orbits": (lambda tmp: ["orbits", "--n", "2", "--q", "3", "--ext", "1,2"], 0),
+    "witt": (lambda tmp: ["witt", "--p", "2", "--d", "1", "--m", "2", "--n", "2"], 0),
+    "witt check-reduction": (
+        lambda tmp: ["witt", "--p", "2", "--d", "1", "--m", "2", "--n", "2", "--check-reduction"],
+        0,
+    ),
+    "counterexample": (lambda tmp: ["counterexample", "--q", "2,3"], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_PARITY_CASES))
+def test_out_files_hold_exactly_the_bytes_stdout_gets(capsys, tmp_path, case):
+    make_argv, expected = OUT_PARITY_CASES[case]
+    argv = make_argv(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == expected
+    assert out != ""
+    target = tmp_path / "result.out"
+    code_to_file, out_to_file, _ = run(capsys, *argv, "--out", str(target))
+    assert (code_to_file, out_to_file) == (expected, "")
+    assert target.read_bytes() == out.encode("utf-8")
+    assert not (tmp_path / "result.out.tmp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["weyl", "--family", "D", "--rank", "1"], 2),
+        (["orbits", "--n", "2", "--q", "6"], 2),
+        (["strata", "--group", "A", "--rank", "2", "--I", "1", "--J", "1"], 3),
+        (["counterexample", "--q", "49"], 3),
+    ],
+)
+def test_failed_runs_create_no_out_file(capsys, tmp_path, argv, expected):
+    target = tmp_path / "result.out"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (expected, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_invariant_error_creates_no_out_file(capsys, tmp_path, monkeypatch):
+    def broken(*args):
+        raise InvariantError("the orbits do not exhaust GL_2 over the ring")
+
+    monkeypatch.setattr("zipstrata.cli.orbit_census_level", broken)
+    target = tmp_path / "result.out"
+    code, out, _ = run(
+        capsys, "witt", "--p", "2", "--d", "1", "--m", "2", "--n", "2", "--out", str(target)
+    )
+    assert (code, out) == (5, "")
+    assert list(tmp_path.iterdir()) == []

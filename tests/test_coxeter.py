@@ -13,6 +13,7 @@ from zipstrata import coxeter
 from zipstrata.coxeter import (
     InvariantError,
     ParabolicType,
+    TooLarge,
     WeylElement,
     WeylGroup,
     apply_diagram_automorphism,
@@ -220,6 +221,13 @@ def test_parabolic_order_matches_enumeration():
         g = W(fam, rank)
         assert parabolic_order(g, K) == len(parabolic_elements(g, K))
     assert parabolic_order(W("A", 21), range(2, 21)) == _factorial(20)
+
+
+def test_oversized_enumerations_raise_too_large():
+    with pytest.raises(TooLarge, match="parabolic subgroup too large"):
+        parabolic_elements(create_weyl("A", 10), range(1, 11))
+    with pytest.raises(TooLarge, match="group too large"):
+        create_weyl("B", 9).elements()
 
 
 def _factorial(n):

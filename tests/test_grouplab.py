@@ -732,7 +732,8 @@ MINUS_O_CASES = {
             path = tmp + "/ordinary.json"
             with open(path, "w") as handle:
                 handle.write(fzip.fzip_to_json({ORDINARY_FZIP}))
-            cli._dispatch(cli._build_parser().parse_args(["classify", path]))
+            ns = cli._build_parser().parse_args(["classify", path])
+            ns.run(ns)
         """,
         "a classify label must carry its witness",
     ),
