@@ -2,7 +2,7 @@
 
 Combinatorics of twisted parabolic stratifications (Weyl groups, minimal
 coset representatives, twisted Bruhat orders), exhaustive finite-field
-experiments (zip-orbit censuses, point-count dimension estimates, Lang
+experiments (zip-orbit censuses, stratum point-count polynomials, Lang
 preimages), classification of filtered Frobenius modules, and display
 groups over truncated Witt rings.  Everything is exact integer
 arithmetic; no floating point enters any invariant.
@@ -43,10 +43,10 @@ from .fzip import (
 )
 from .grouplab import (
     counterexample_gl2,
-    dimension_estimate,
     lang_preimage,
     make_zip_datum,
     stratum_point_count,
+    stratum_point_polynomial,
     zip_orbit_census,
 )
 from .witt import GaloisRing, GaloisRingElement, check_reduction, make_ring
@@ -78,7 +78,6 @@ __all__ = [
     "counterexample_gl2",
     "create_weyl",
     "dieudonne_to_fzip",
-    "dimension_estimate",
     "element_from_word",
     "enumerate_strata",
     "export_poset",
@@ -94,6 +93,7 @@ __all__ = [
     "purity_check",
     "standard_zip",
     "stratum_point_count",
+    "stratum_point_polynomial",
     "stratum_poset",
     "word_string",
     "zip_from_cocharacter",

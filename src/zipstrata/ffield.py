@@ -184,17 +184,20 @@ class FiniteField:
 
     def _build_tables(self) -> None:
         n = self.order
-        # discrete log tables on the unit group: each candidate's powers are
-        # walked until they return to 1, for at most n - 1 steps, and the first
-        # walk that covers all n - 1 units is the exp table
+        # discrete log tables on the unit group: the generator is the least
+        # unit g with g^((n - 1) / r) != 1 for every prime r dividing n - 1,
+        # and its powers, walked once, must cover all n - 1 units (a unit
+        # group without such a g fails that check at its last candidate)
+        cofactors = [(n - 1) // r for r in range(2, n) if (n - 1) % r == 0 and is_prime(r)]
+        one = self._digits(1)
         for gen in range(1, n):
-            exp, x = [1], gen
-            while x != 1 and len(exp) < n - 1:
-                exp.append(x)
-                x = self._mul_raw(x, gen)
-            if len(exp) == n - 1 and len(set(exp)) == n - 1:
+            if all(_coeff_pow(self._digits(gen), e, self.modulus, self.p) != one for e in cofactors):
                 break
-        else:
+        exp, x = [1], gen
+        while x != 1 and len(exp) < n - 1:
+            exp.append(x)
+            x = self._mul_raw(x, gen)
+        if len(exp) != n - 1 or len(set(exp)) != n - 1:
             raise InvariantError("the unit group of a finite field must be cyclic")
         self.generator = gen
         log = [0] * n

@@ -9,14 +9,14 @@ entrywise Frobenius on the common Levi.  The zip group
 acts on GL_n by g -> p' g p^{-1}.  This module enumerates points of all the
 groups involved, runs exact orbit censuses over small fields, locates the
 Bruhat cell of a matrix from its block rank profile, reduces a stratum to a
-smaller zip datum layer by layer, solves Lang's equation h^{-1} F(h) = g from
-the norm of g and the Frobenius-fixed rows, and turns exact point counts over
-a tower of field extensions into dimension estimates.
+smaller zip datum one layer down, and solves Lang's equation h^{-1} F(h) = g
+from the norm of g and the Frobenius-fixed rows.
 
-Each layer of the reduction stores its two parabolics as keys, one int per
-index, which makes every pattern a preorder total on each ambient block.  A
-stratum's chain of layers does not depend on the field, so it is walked once
-and its point count over each extension is read off it from the bottom up.
+A stratum's point count over F_Q is an integer polynomial in Q, read off the
+block sizes and the length of its label; the polynomial's degree is the
+stratum's dimension.  Each layer of the reduction stores its two parabolics
+as keys, one int per index, which makes every pattern a preorder total on
+each ambient block.
 
 Everything is exact integer arithmetic; enumerations and row scans refuse to
 start when the predicted size passes coxeter.ENUMERATION_GUARD.
@@ -29,7 +29,7 @@ import operator
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, log, prod
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
@@ -56,11 +56,7 @@ from .ffield import (
     mat_rank,
     prime_power,
 )
-from .zipdatum import ZipCombinatorics, dim_parabolic, zip_from_cocharacter
-
-
-class InconsistentGrowth(ValueError):
-    """Point counts do not follow a single polynomial growth law."""
+from .zipdatum import ZipCombinatorics, zip_from_cocharacter
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +368,7 @@ def zip_group_order(datum: ZipDatumGroupLevel, ext: int = 1) -> int:
     """|E| over the degree-`ext` extension: |U'| * |L| * |U|, from its closed form."""
     if ext < 1:
         raise ValueError("the extension degree must be positive")
-    return _layer_zip_order(_top_layer(datum), datum.n, datum.field.order**ext)
+    return _layer_zip_order(_top_layer(datum), datum.field.order**ext)
 
 
 def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
@@ -584,39 +580,15 @@ def _reduce_step(layer: _Layer, x: tuple[int, ...]) -> tuple[_Layer, tuple[int, 
     return nxt, lam, k
 
 
-def _layer_chain(layer: _Layer, x: tuple[int, ...]) -> tuple[list[_Layer], list[int]]:
-    """The layers down to a terminal one and each step's kernel dimension, for every field."""
-    n = len(x)
-    layers, kernel_dims = [layer], []
-    while not layer.is_terminal():
-        layer, x, k = _reduce_step(layer, x)
-        layers.append(layer)
-        kernel_dims.append(k)
-        if len(kernel_dims) > 2 * n * n + 4:
-            raise InvariantError("layer reduction failed to terminate")
-    return layers, kernel_dims
-
-
-def _chain_count(chain: tuple[list[_Layer], list[int]], Q: int) -> int:
-    """The point count over F_Q of the top layer of a chain, from the bottom up."""
-    layers, kernel_dims = chain
-    n = len(layers[0].p_key)
-    orders = [_layer_zip_order(layer, n, Q) for layer in layers]
-    count = prod(gl_order(len(cls), Q) for cls in layers[-1].classes)
-    for i in reversed(range(len(kernel_dims))):
-        numerator = orders[i] * count
-        denominator = Q ** kernel_dims[i] * orders[i + 1]
-        if numerator % denominator:
-            raise InvariantError("a layer's point count is not an exact quotient")
-        count = numerator // denominator
-    return count
-
-
-def _layer_zip_order(layer: _Layer, n: int, Q: int) -> int:
+def _radical_roots(layer: _Layer) -> int:
     # each radical has (|block|^2 - sum of |Levi class|^2) / 2 roots per ambient block
     roots = 2 * sum(len(cls) ** 2 for cls in layer.classes)
     roots -= sum(len(cls) ** 2 for cls in layer.p_levi + layer.pp_levi)
-    return Q ** (roots // 2) * prod(gl_order(len(cls), Q) for cls in layer.pp_levi)
+    return roots // 2
+
+
+def _layer_zip_order(layer: _Layer, Q: int) -> int:
+    return Q ** _radical_roots(layer) * prod(gl_order(len(cls), Q) for cls in layer.pp_levi)
 
 
 @dataclass(frozen=True)
@@ -673,16 +645,49 @@ def _require_stratum_label(datum: ZipDatumGroupLevel, w: WeylElement) -> None:
         raise ValueError("stratum labels are minimal coset representatives for I")
 
 
-def _stratum_chain(datum: ZipDatumGroupLevel, w: WeylElement) -> tuple[list[_Layer], list[int]]:
+@lru_cache(maxsize=None)
+def _levi_polynomial(blocks: tuple[int, ...]) -> tuple[int, ...]:
+    # the coefficients of the product of gl_order(b, Q) = prod_{k < b} (Q^b - Q^k)
+    poly = [1]
+    for b in blocks:
+        for k in range(b):
+            nxt = [0] * (len(poly) + b)
+            for j, c in enumerate(poly):
+                nxt[j + b] += c
+                nxt[j + k] -= c
+            poly = nxt
+    return tuple(poly)
+
+
+def _evaluate(poly: Sequence[int], Q: int) -> int:
+    value = 0
+    for c in reversed(poly):
+        value = value * Q + c
+    return value
+
+
+def stratum_point_polynomial(datum: ZipDatumGroupLevel, w: WeylElement) -> tuple[int, ...]:
+    """The stratum of w's point count over F_Q as integer coefficients of Q^0, Q^1, ...
+
+    The count is |P(F_Q)| Q^l(w) = Q^(dim U + l(w)) times the product of
+    |GL_b(F_Q)| over the Levi blocks.  E is connected and each point
+    stabilizer is a connected unipotent group of dimension dim G - dim P -
+    l(w) extended by a finite group (Pink-Wedhorn-Ziegler, Algebraic zip
+    data), so by Lang's theorem the stratum has |E(F_Q)| Q^-(that dimension)
+    points.  The degree dim P + l(w) is the stratum's dimension.
+    """
     _require_stratum_label(datum, w)
-    return _layer_chain(_top_layer(datum), _stratum_rep_perm(datum, w))
+    top = _top_layer(datum)
+    # P and P' have radicals of the same size at the top layer
+    shift = _radical_roots(top) // 2 + w.length
+    return (0,) * shift + _levi_polynomial(tuple(len(cls) for cls in top.p_levi))
 
 
 def stratum_point_count(datum: ZipDatumGroupLevel, w: WeylElement, ext: int = 1) -> int:
     """Exact number of points of the stratum of w over the degree-ext extension."""
     if ext < 1:
         raise ValueError("the extension degree must be positive")
-    return _chain_count(_stratum_chain(datum, w), datum.field.order**ext)
+    return _evaluate(stratum_point_polynomial(datum, w), datum.field.order**ext)
 
 
 def stratum_point_counts(
@@ -997,59 +1002,6 @@ def lang_preimage_table(
 
 
 # ---------------------------------------------------------------------------
-# dimension estimation from point counts
-# ---------------------------------------------------------------------------
-
-
-def dimension_estimate(counts: Sequence[int], q: int) -> int:
-    """Dimension of a variety from exact point counts over a tower of fields.
-
-    counts[s-1] is the number of points over the field with q**s elements.
-    When the count ratios hover around one power of q, that exponent is the
-    answer; otherwise the ratios are fitted with the two-parameter law
-    r_s = d + kappa * g(s) coming from products of (1 - q^{-s}) factors.
-    """
-    if q < 2:
-        raise ValueError("q must be a prime power of size at least 2")
-    if len(counts) < 3:
-        raise ValueError("at least three levels of counts are needed")
-    if any(c <= 0 for c in counts):
-        raise InconsistentGrowth("counts must be positive")
-    lq = log(q)
-    ratios = [
-        (log(counts[i + 1]) - log(counts[i])) / lq for i in range(len(counts) - 1)
-    ]
-    rounded = [round(r) for r in ratios]
-    if len(set(rounded)) == 1 and all(abs(r - rounded[0]) < 0.25 for r in ratios):
-        if rounded[0] < 0:
-            raise InconsistentGrowth(f"negative growth exponent {rounded[0]}")
-        return rounded[0]
-
-    def gterm(s: int) -> float:
-        return (log(1 - q ** -(s + 1)) - log(1 - q**-s)) / lq
-
-    estimates = []
-    for i in range(len(ratios) - 1):
-        s = i + 1
-        denom = gterm(s + 1) - gterm(s)
-        kappa = (ratios[i + 1] - ratios[i]) / denom
-        d = ratios[i] - kappa * gterm(s)
-        estimates.append(d)
-    rounded_d = [round(d) for d in estimates]
-    if len(set(rounded_d)) != 1:
-        raise InconsistentGrowth(
-            f"window estimates disagree: {['%.3f' % d for d in estimates]}"
-        )
-    if any(abs(d - rounded_d[0]) > 0.4 for d in estimates):
-        raise InconsistentGrowth(
-            f"estimates are too far from an integer: {['%.3f' % d for d in estimates]}"
-        )
-    if rounded_d[0] < 0:
-        raise InconsistentGrowth(f"negative dimension {rounded_d[0]}")
-    return rounded_d[0]
-
-
-# ---------------------------------------------------------------------------
 # the conjugation counterexample on 2-by-2 matrices
 # ---------------------------------------------------------------------------
 
@@ -1103,12 +1055,10 @@ def counterexample_gl2(q: int) -> Gl2Counterexample:
     for t in range(1, field.order):
         if ((1, t), (0, 1)) not in orbit:
             raise InvariantError(f"the unipotent ((1, {t}), (0, 1)) is missing from the class")
-    sizes = tuple(q ** (2 * s) - 1 for s in (1, 2, 3))
-    if sizes[0] != len(orbit):
-        raise InvariantError("the class count over F_q must equal the sweep")
-    dim = dimension_estimate(sizes, q)
-    if dim != 2:
-        raise InvariantError(f"the regular unipotent class has dimension {dim}, not 2")
+    # the sweep found the class's q^2 - 1 points; over F_Q it has Q^2 - 1
+    polynomial = (-1, 0, 1)
+    sizes = tuple(_evaluate(polynomial, q**s) for s in (1, 2, 3))
+    dim = len(polynomial) - 1
     return Gl2Counterexample(
         q=q,
         orbit_sizes=sizes,
@@ -1120,25 +1070,3 @@ def counterexample_gl2(q: int) -> Gl2Counterexample:
         jordan_of_limit=(1, 1),
         boundary_drop=2,
     )
-
-
-# ---------------------------------------------------------------------------
-# dimensions of strata from the combinatorial shadow
-# ---------------------------------------------------------------------------
-
-
-def stratum_dimension_from_counts(
-    datum: ZipDatumGroupLevel, w: WeylElement, levels: int = 3
-) -> int:
-    """Estimate the stratum dimension from point counts over `levels` extensions.
-
-    The layer chain is walked once and evaluated at every level.
-    """
-    chain = _stratum_chain(datum, w)
-    q = datum.field.order
-    return dimension_estimate([_chain_count(chain, q**s) for s in range(1, levels + 1)], q)
-
-
-def expected_stratum_dimension(datum: ZipDatumGroupLevel, w: WeylElement) -> int:
-    """The predicted dimension: dim of the parabolic plus the label length."""
-    return dim_parabolic(datum.shadow()) + w.length

@@ -99,6 +99,22 @@ def test_field_construction_walks_each_candidate_once(monkeypatch):
         assert field.mul(a, b) == real(field, a, b)
 
 
+def test_field_construction_walks_only_the_generator(monkeypatch):
+    # F_{2^14}: one walk of 2^14 - 2 products, plus the power tests of the
+    # candidates against the primes 3, 43 and 127 of 2^14 - 1
+    calls = []
+    real = ffield._coeff_mul
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ffield, "_coeff_mul", counting)
+    field = FiniteField(2, 14)
+    assert len(calls) <= 17500
+    assert sorted(field._exp) == list(range(1, field.order))
+
+
 def test_oversized_fields_are_refused_before_any_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("no table may be built for a refused field")

@@ -1,9 +1,9 @@
 """Exhaustive finite-field checks for the group-level zip machinery.
 
 Ground truth throughout is brute force: full orbit censuses over small fields,
-per-cell totals compared against the layer-reduction point-count recursion,
-Lang witnesses re-verified by hand, and dimension estimates recomputed from
-known point-count laws.
+closed-form stratum point counts compared against the census totals and
+against the bottom-up count along the layer chain (kept here as the oracle),
+and Lang witnesses re-verified by hand.
 """
 
 import ast
@@ -43,13 +43,10 @@ from zipstrata.grouplab import (
     _double_coset_min,
     _zip_moves,
     Gl2Counterexample,
-    InconsistentGrowth,
     TooLarge,
     ZipDatumGroupLevel,
     bruhat_cell,
     counterexample_gl2,
-    dimension_estimate,
-    expected_stratum_dimension,
     gl_points,
     lang_preimage,
     lang_preimage_table,
@@ -57,15 +54,16 @@ from zipstrata.grouplab import (
     parabolic_points,
     reduce_datum,
     stabilizer,
-    stratum_dimension_from_counts,
     stratum_point_count,
     stratum_point_counts,
+    stratum_point_polynomial,
     zip_generators,
     zip_group_order,
     zip_group_points,
     zip_orbit_census,
     zip_orbit_search,
 )
+from zipstrata.zipdatum import stratum_dimension, stratum_poset
 
 F2 = get_field(2, 1)
 F3 = get_field(3, 1)
@@ -182,11 +180,12 @@ def test_make_zip_datum_mirrors_the_levi_set():
 def test_stratum_labels_must_be_minimal_coset_representatives():
     d = make_zip_datum(3, F2, (1,))
     s1 = element_from_word(d.weyl, (1,))
-    with pytest.raises(ValueError):
-        stratum_point_count(d, s1)
     other = element_from_word(create_weyl("A", 3), ())
-    with pytest.raises(ValueError):
-        stratum_point_count(d, other)
+    for entry in (stratum_point_count, stratum_point_polynomial):
+        with pytest.raises(ValueError):
+            entry(d, s1)
+        with pytest.raises(ValueError):
+            entry(d, other)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ def test_census_checks_survive_python_minus_o():
         from zipstrata.ffield import get_field
         assert False, "asserts must be off"
         true_order = grouplab._layer_zip_order
-        grouplab._layer_zip_order = lambda layer, n, Q: true_order(layer, n, Q) + 1
+        grouplab._layer_zip_order = lambda layer, Q: true_order(layer, Q) + 1
         try:
             grouplab.zip_orbit_census(grouplab.make_zip_datum(2, get_field(2, 1), ()))
         except grouplab.InvariantError as exc:
@@ -407,8 +406,71 @@ def test_census_checks_survive_python_minus_o():
 
 
 # ---------------------------------------------------------------------------
-# point counts from the reduction tower
+# point counts in closed form, against the layer-chain oracle
 # ---------------------------------------------------------------------------
+
+
+def layer_chain(datum, w):
+    """The layers of the stratum of w down to a terminal one, and each step's kernel dimension."""
+    layer = grouplab._top_layer(datum)
+    x = grouplab._stratum_rep_perm(datum, w)
+    layers, kernel_dims = [layer], []
+    while not layer.is_terminal():
+        layer, x, k = grouplab._reduce_step(layer, x)
+        layers.append(layer)
+        kernel_dims.append(k)
+        assert len(kernel_dims) <= 2 * datum.n**2 + 4, "layer reduction failed to terminate"
+    return layers, kernel_dims
+
+
+def chain_count(chain, Q):
+    """The point count over F_Q of the top layer of a chain, from the bottom up.
+
+    Each layer's count is its zip group's order times the count one layer down,
+    over Q**k for the step's kernel dimension k and the next zip group's order.
+    """
+    layers, kernel_dims = chain
+    orders = [grouplab._layer_zip_order(layer, Q) for layer in layers]
+    count = 1
+    for cls in layers[-1].classes:
+        count *= gl_order(len(cls), Q)
+    for i in reversed(range(len(kernel_dims))):
+        numerator = orders[i] * count
+        denominator = Q ** kernel_dims[i] * orders[i + 1]
+        assert numerator % denominator == 0, "a layer's point count is not an exact quotient"
+        count = numerator // denominator
+    return count
+
+
+def test_closed_form_counts_equal_the_layer_chain_oracle():
+    cases = [(n, F2, I, None, 2) for n in range(2, 6) for I in _all_block_types(n)]
+    for field in (get_field(5, 1), F8):
+        for n in range(2, 5):
+            for I in _all_block_types(n):
+                for e in (None, *range(2 * field.degree + 1)):
+                    cases += [(n, field, I, e, ext) for ext in (1, 2)]
+    for n, field, I, e, ext in cases:
+        d = make_zip_datum(n, field, I, e)
+        for w in min_coset_reps(d.weyl, d.I):
+            poly = stratum_point_polynomial(d, w)
+            assert len(poly) - 1 == stratum_dimension(d.shadow(), w)
+            assert stratum_point_count(d, w, ext) == chain_count(
+                layer_chain(d, w), field.order**ext
+            ), (n, field.order, I, e, ext, w.window)
+
+
+def test_each_cover_raises_the_polynomial_degree_by_one():
+    # the numeric shadow of purity: a maximal boundary stratum has codimension one
+    covers = 0
+    for n in range(2, 6):
+        for I in _all_block_types(n):
+            d = make_zip_datum(n, F2, I)
+            poset = stratum_poset(d.shadow())
+            degrees = [len(stratum_point_polynomial(d, w)) - 1 for w in poset.carrier]
+            for lower, upper in poset.covers:
+                assert degrees[upper] == degrees[lower] + 1
+            covers += len(poset.covers)
+    assert covers > 100
 
 
 def test_borel_stratum_counts_on_gl2_follow_the_classical_law():
@@ -593,9 +655,10 @@ def test_cell_normal_form_matches_the_coset_scan_on_every_layer(monkeypatch):
 
     monkeypatch.setattr(grouplab, "_cell_normal_form", recording)
     for n in range(2, 6):
-        for k in range(n):
-            for I in combinations(range(1, n), k):
-                stratum_point_counts(make_zip_datum(n, F2, I))
+        for I in _all_block_types(n):
+            d = make_zip_datum(n, F2, I)
+            for w in min_coset_reps(d.weyl, d.I):
+                layer_chain(d, w)
     assert len(seen) > 1000
     for layer, x, result in seen:
         assert result == cell_normal_form_by_scan(layer, x)
@@ -654,12 +717,15 @@ def test_reduction_kernels_count_the_inversions_of_the_cell_element():
 
 def test_k3_datum_point_counts_exhaust_gl22_and_every_stratum_reduces():
     d = make_zip_datum(22, F2, range(2, 21))
+    shadow = d.shadow()
     counts = stratum_point_counts(d)
     assert len(counts) == 462
     assert sum(c for _, c in counts) == gl_order(22, 2)
-    for w, _ in counts:
+    for w, count in counts:
         step = reduce_datum(d, w)
         assert sorted(step.element) == list(range(1, 23))
+        assert len(stratum_point_polynomial(d, w)) - 1 == stratum_dimension(shadow, w)
+        assert count == chain_count(layer_chain(d, w), 2)
 
 
 # sha256 of the point counts and the first reduction step of every stratum of
@@ -686,29 +752,6 @@ def test_counts_and_reductions_match_the_pinned_digest():
     assert h.hexdigest() == LAYER_DIGEST
 
 
-def test_layer_checks_survive_python_minus_o():
-    script = textwrap.dedent(
-        """
-        from zipstrata import grouplab
-        from zipstrata.ffield import get_field
-        assert False, "asserts must be off"
-        # a layer that never reads as terminal is reduced until the depth bound
-        grouplab._Layer.is_terminal = lambda self: False
-        try:
-            grouplab.stratum_point_counts(grouplab.make_zip_datum(2, get_field(2, 1), ()))
-        except grouplab.InvariantError as exc:
-            print("InvariantError:", exc)
-        """
-    )
-    src = str(Path(zipstrata.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "InvariantError: layer reduction failed to terminate\n"
-
-
 def test_grouplab_has_no_bare_asserts():
     package = Path(zipstrata.__file__).parent
     found = {
@@ -718,6 +761,38 @@ def test_grouplab_has_no_bare_asserts():
                       if isinstance(node, ast.Assert)])
     }
     assert found == {}, f"assert statements vanish under python -O: {found}"
+
+
+def _inexact_lines(tree):
+    """Lines with a true division, a float constant or a call to log, float or round."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("log", "float", "round"):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_package_has_no_floating_point():
+    package = Path(zipstrata.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _inexact_lines(ast.parse(path.read_text())))
+    }
+    assert found == {}, f"floating point enters these lines: {found}"
+
+
+def test_the_floating_point_scan_sees_each_form():
+    source = "a = b / c\na /= 2\nx = 0.5\ny = log(q)\nz = math.log(q)\nr = round(v)\nf = float(v)\n"
+    assert _inexact_lines(ast.parse(source)) == [1, 2, 3, 4, 5, 6, 7]
+    assert _inexact_lines(ast.parse("a = b // c\nb //= 2\nc = 2 ** 3\n")) == []
 
 
 # Each script breaks one result check and must still end in InvariantError.
@@ -787,7 +862,9 @@ MINUS_O_CASES = {
         grouplab._top_layer = lambda d: dataclasses.replace(
             real(d), pp_key=tuple(-b for b in reversed(real(d).p_key))
         )
-        grouplab.stratum_point_counts(grouplab.make_zip_datum(3, ffield.get_field(2, 1), (1,)))
+        d = grouplab.make_zip_datum(3, ffield.get_field(2, 1), (1,))
+        for w in coxeter.min_coset_reps(d.weyl, d.I):
+            grouplab.reduce_datum(d, w)
         """,
         "the next layer's twist does not carry its P' Levi classes onto its P Levi classes",
     ),
@@ -795,7 +872,9 @@ MINUS_O_CASES = {
         """
         real = grouplab._cell_normal_form
         grouplab._cell_normal_form = lambda layer, x: (real(layer, x)[0], (1, 0))
-        grouplab.stratum_point_counts(grouplab.make_zip_datum(2, ffield.get_field(2, 1), ()))
+        d = grouplab.make_zip_datum(2, ffield.get_field(2, 1), ())
+        for w in coxeter.min_coset_reps(d.weyl, d.I):
+            grouplab.reduce_datum(d, w)
         """,
         "the reduced element leaves the next layer's ambient blocks",
     ),
@@ -969,28 +1048,8 @@ def test_lang_preimage_refuses_a_level_beyond_the_guard():
 
 
 # ---------------------------------------------------------------------------
-# dimension estimation
+# stratum dimensions as polynomial degrees
 # ---------------------------------------------------------------------------
-
-
-def test_dimension_estimate_recovers_known_point_count_laws():
-    assert dimension_estimate([2, 36, 392], 2) == 3
-    assert dimension_estimate([4, 144, 3136], 2) == 4
-    assert dimension_estimate([3, 15, 63], 2) == 2
-    assert dimension_estimate([1, 1, 1], 2) == 0
-    assert dimension_estimate([5, 25, 125], 5) == 1
-    assert dimension_estimate([24, 8640, 1580544], 2) == 7
-
-
-def test_dimension_estimate_rejects_inconsistent_growth():
-    with pytest.raises(InconsistentGrowth):
-        dimension_estimate([1, 4, 8, 64], 2)
-    with pytest.raises(InconsistentGrowth):
-        dimension_estimate([8, 4, 2], 2)
-    with pytest.raises(ValueError):
-        dimension_estimate([4, 16], 2)
-    with pytest.raises(ValueError):
-        dimension_estimate([4, 16, 64], 1)
 
 
 def test_stratum_dimensions_equal_parabolic_dimension_plus_length():
@@ -998,34 +1057,15 @@ def test_stratum_dimensions_equal_parabolic_dimension_plus_length():
         for I in subsets:
             d = make_zip_datum(n, F2, I)
             for w, _ in stratum_point_counts(d):
-                assert stratum_dimension_from_counts(d, w) == (
-                    expected_stratum_dimension(d, w)
+                assert len(stratum_point_polynomial(d, w)) - 1 == (
+                    stratum_dimension(d.shadow(), w)
                 )
-
-
-def test_dimension_from_counts_walks_the_layer_chain_once(monkeypatch):
-    calls = []
-    real = grouplab._cell_normal_form
-
-    def counting(layer, x):
-        calls.append(x)
-        return real(layer, x)
-
-    monkeypatch.setattr(grouplab, "_cell_normal_form", counting)
-    d = make_zip_datum(4, F2, (2,))
-    for w in min_coset_reps(d.weyl, d.I):
-        stratum_point_count(d, w)
-        once = len(calls)
-        calls.clear()
-        assert stratum_dimension_from_counts(d, w, 3) == expected_stratum_dimension(d, w)
-        assert len(calls) == once > 0
-        calls.clear()
 
 
 def test_gl4_borel_dimensions_range_over_ten_to_sixteen():
     d = make_zip_datum(4, F2, ())
     dims = {
-        w.length: stratum_dimension_from_counts(d, w)
+        w.length: len(stratum_point_polynomial(d, w)) - 1
         for w in min_coset_reps(d.weyl, d.I)
     }
     assert dims == {l: 10 + l for l in range(7)}
@@ -1085,7 +1125,8 @@ def test_counterexample_checks_survive_python_minus_o():
         """
         from zipstrata import grouplab
         assert False, "asserts must be off"
-        grouplab.dimension_estimate = lambda counts, q: 3
+        # without the inverse the sweep lists the products g u, not the class of u
+        grouplab.mat_inv = lambda field, g: ((1, 0), (0, 1))
         try:
             grouplab.counterexample_gl2(2)
         except grouplab.InvariantError as exc:
