@@ -180,6 +180,7 @@ class FiniteField:
         return out
 
     def _mul_raw(self, a: int, b: int) -> int:
+        # the product on digit lists, which the tables must agree with
         return self._from_digits(_coeff_mul(self._digits(a), self._digits(b), self.modulus, self.p))
 
     def _build_tables(self) -> None:
@@ -193,10 +194,19 @@ class FiniteField:
         for gen in range(1, n):
             if all(_coeff_pow(self._digits(gen), e, self.modulus, self.p) != one for e in cofactors):
                 break
-        exp, x = [1], gen
+        # each power times g on its digit list: a shift per nonzero digit of g
+        # and one reduction, with the code read off the digits
+        exp, x, digits = [1], gen, self._digits(gen)
+        terms = [(k, c) for k, c in enumerate(digits) if c]
+        weights = [self.p**k for k in range(self.degree)]
         while x != 1 and len(exp) < n - 1:
             exp.append(x)
-            x = self._mul_raw(x, gen)
+            product = [0] * (self.degree + terms[-1][0])
+            for k, c in terms:
+                for j, v in enumerate(digits, k):
+                    product[j] += c * v
+            digits = _poly_rem_q(product, self.modulus, self.p)
+            x = sum(v * w for v, w in zip(digits, weights))
         if len(exp) != n - 1 or len(set(exp)) != n - 1:
             raise InvariantError("the unit group of a finite field must be cyclic")
         self.generator = gen

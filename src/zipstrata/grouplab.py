@@ -12,6 +12,11 @@ Bruhat cell of a matrix from its block rank profile, reduces a stratum to a
 smaller zip datum one layer down, and solves Lang's equation h^{-1} F(h) = g
 from the norm of g and the Frobenius-fixed rows.
 
+The radical U' of P' is normal in E and acts freely on the left, so a zip
+orbit is a union of cosets U'g.  The census and the orbit search walk one
+canonical form per coset, its least point, with E's other generators; the
+census enumerates the forms directly instead of the points of GL_n.
+
 A stratum's point count over F_Q is an integer polynomial in Q, read off the
 block sizes and the length of its label; the polynomial's degree is the
 stratum's dimension.  Each layer of the reduction stores its two parabolics
@@ -55,6 +60,7 @@ from .ffield import (
     mat_mul,
     mat_rank,
     prime_power,
+    _row_reduce,
 )
 from .zipdatum import ZipCombinatorics, zip_from_cocharacter
 
@@ -231,8 +237,10 @@ def _points_field(datum: ZipDatumGroupLevel, ext: int) -> FiniteField:
 # ---------------------------------------------------------------------------
 
 
-def _iter_gl(n: int, field: FiniteField, vectors: Iterable[tuple[int, ...]]) -> Iterator[Mat]:
-    """Invertible matrices with rows drawn from `vectors`, in their order.
+def _iter_gl(
+    n: int, field: FiniteField, vectors: Iterable[tuple[int, ...]], count: int = 0
+) -> Iterator[Mat]:
+    """Tuples of `count` (n if 0) independent rows drawn from `vectors`, in their order.
 
     A subsequence of the candidates yields a subsequence of the matrices, in
     the same order.  The tee generates the candidates once, and every row
@@ -242,7 +250,7 @@ def _iter_gl(n: int, field: FiniteField, vectors: Iterable[tuple[int, ...]]) -> 
     zero = (0,) * n
 
     def extend(rows: tuple[tuple[int, ...], ...]) -> Iterator[Mat]:
-        if len(rows) == n:
+        if len(rows) == (count or n):
             yield rows
             return
         span = {zero}
@@ -264,10 +272,15 @@ def _iter_gl(n: int, field: FiniteField, vectors: Iterable[tuple[int, ...]]) -> 
 
 def gl_points(n: int, field: FiniteField) -> tuple[Mat, ...]:
     """All invertible n-by-n matrices over the field, in a fixed order."""
+    _require_enumerable_gl(n, field)
+    return tuple(_iter_gl(n, field, itertools.product(range(field.order), repeat=n)))
+
+
+def _require_enumerable_gl(n: int, field: FiniteField) -> int:
     total = gl_order(n, field.order)
     if total > ENUMERATION_GUARD:
         raise TooLarge(f"GL_{n} over a field of {field.order} elements has {total} points")
-    return tuple(_iter_gl(n, field, itertools.product(range(field.order), repeat=n)))
+    return total
 
 
 def parabolic_points(
@@ -293,12 +306,19 @@ def parabolic_points(
             for a, i in enumerate(cls):
                 for b, j in enumerate(cls):
                     base[i][j] = blk[a][b]
-        for values in itertools.product(range(field.order), repeat=len(strict)):
-            m = [row[:] for row in base]
-            for (i, j), v in zip(strict, values):
-                m[i][j] = v
-            out.append(tuple(tuple(r) for r in m))
+        out.extend(_fillings(base, strict, field.order))
     return tuple(out)
+
+
+def _fillings(
+    base: Sequence[Sequence[int]], positions: Sequence[tuple[int, int]], order: int
+) -> Iterator[Mat]:
+    """base with every choice of codes at `positions`, in product order."""
+    for values in itertools.product(range(order), repeat=len(positions)):
+        m = [list(row) for row in base]
+        for (i, j), v in zip(positions, values):
+            m[i][j] = v
+        yield tuple(tuple(r) for r in m)
 
 
 def _levi_part(m: Mat, classes: Sequence[Sequence[int]], n: int) -> Mat:
@@ -325,11 +345,7 @@ def zip_group_points(
     out = []
     for p_prime in lowers:
         levi = mat_frobenius(ff, _levi_part(p_prime, classes, n), k)
-        for values in itertools.product(range(ff.order), repeat=len(upper_strict)):
-            m = [list(row) for row in levi]
-            for (i, j), v in zip(upper_strict, values):
-                m[i][j] = v
-            out.append((p_prime, tuple(tuple(r) for r in m)))
+        out.extend((p_prime, p) for p in _fillings(levi, upper_strict, ff.order))
     return tuple(out)
 
 
@@ -374,26 +390,35 @@ def zip_group_order(datum: ZipDatumGroupLevel, ext: int = 1) -> int:
 def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
     """Partition GL_n(F_{q^ext}) into zip-group orbits.
 
-    Each orbit is the forward closure of its seed under the moves compiled
-    from `zip_generators`: one row or column operation (or a pair of them)
-    per generator, read from integer-coded tables.  The stabilizer order is
-    |E| / |orbit| with |E| from its closed form.  Orbits are seeded at the
-    least uncovered point.
+    The radical U' of P' is normal in E and acts freely on the left, so each
+    orbit is a union of cosets U'g of |U'| points.  The census walks one
+    canonical form per coset (`_coset_form`, the coset's least point) under
+    the moves compiled from the other generators of `zip_generators`: one
+    row or column operation (or a pair of them) each, read from integer-coded
+    tables.  The forms are enumerated directly in increasing order, and each
+    orbit is seeded at the least uncovered one, which is its least point.  An
+    orbit has |U'| times as many points as cosets, and its stabilizer order
+    is |E| / |orbit| with |E| from its closed form.
     """
     ff = _points_field(datum, ext)
     n = datum.n
+    total = _require_enumerable_gl(n, ff)
     order_e = zip_group_order(datum, ext)
     moves = _zip_moves(datum, ext)
-    points = sorted(_flat(g) for g in gl_points(n, ff))
+    radical = _radical_order(datum, ff)
+    forms = tuple(_coset_forms(ff, datum.classes))
+    if len(forms) * radical != total:
+        raise InvariantError("the cosets of U' do not exhaust GL_n")
     records = []
-    for seed, orbit in _orbit_partition(moves, points, order_e):
+    for seed, orbit in _orbit_partition(
+        moves, forms, order_e, _coset_form(ff, datum.classes), radical
+    ):
         rep = tuple(seed[i * n:(i + 1) * n] for i in range(n))
         cell = bruhat_cell(datum, rep, ext).reduced_word()
-        records.append(OrbitRecord(rep, len(orbit), order_e // len(orbit), cell))
+        size = radical * len(orbit)
+        records.append(OrbitRecord(rep, size, order_e // size, cell))
     records.sort(key=lambda r: (r.size, r.rep))
-    if sum(r.size for r in records) != len(points):
-        raise InvariantError("the orbits do not exhaust GL_n")
-    return OrbitCensus(ext, len(points), tuple(records))
+    return OrbitCensus(ext, total, tuple(records))
 
 
 def stabilizer(
@@ -754,17 +779,93 @@ def zip_orbit_search(
 ) -> tuple[tuple[Mat, ...], int]:
     """Sweep the zip orbit of g, reporting which targets it meets.
 
-    Returns the targets found (in the order given) and the full orbit size;
-    an orbit with more than `guard` points raises TooLarge.
+    The sweep walks the canonical forms of the cosets U'h in the orbit, as
+    the census does, starting from the form of g; a target is met when its
+    form is walked.  Returns the targets found (in the order given) and the
+    full orbit size, |U'| times the cosets; an orbit with more than `guard`
+    points raises TooLarge.
     """
-    orbit = _walk_orbit(_zip_moves(datum, ext), _flat(g), guard)
-    hits = tuple(t for t in targets if _flat(t) in orbit)
-    return hits, len(orbit)
+    ff = _points_field(datum, ext)
+    radical = _radical_order(datum, ff)
+    form = _coset_form(ff, datum.classes)
+    orbit = _walk_orbit(_zip_moves(datum, ext), form(_flat(g)), form, guard // radical)
+    hits = tuple(t for t in targets if form(_flat(t)) in orbit)
+    return hits, radical * len(orbit)
 
 
 def _flat(m: Mat) -> tuple[int, ...]:
     """The entries of m in row-major order; the orbit engine's point format."""
     return tuple(itertools.chain.from_iterable(m))
+
+
+def _radical_order(datum: ZipDatumGroupLevel, ff: FiniteField) -> int:
+    # |U'|: one free entry per position below the Levi blocks
+    return ff.order ** len(_block_positions(datum.classes, datum.n, operator.gt))
+
+
+# The canonical point of the class of a flat matrix under a normal subgroup
+# an orbit walk leaves out, such as the coset U'g; `tuple` when there is none.
+_Form = Callable[[Sequence[int]], tuple[int, ...]]
+
+
+def _coset_form(ff: FiniteField, classes: Sequence[Sequence[int]]) -> _Form:
+    """The least point of U'g, for flat row-major g.
+
+    U' adds to each row of a Levi class any vector in the span of the rows
+    of the classes before it.  The form reduces each row modulo the reduced
+    row echelon basis of that span (empty for the first class), so it is
+    zero at every pivot column.  Each nonzero vector of the span has its
+    first nonzero entry at a pivot, where the form has 0 and any other point
+    of the coset a nonzero code, so the form is the lexicographic minimum.
+    The bases are cached by the flat prefix they come from, for the life of
+    the returned function.
+    """
+    if len(classes) == 1:
+        return tuple  # U' is trivial
+    n = sum(map(len, classes))
+    starts = [cls[0] * n for cls in classes for _ in cls]  # each row's class, as a flat offset
+    add, mul = ff.add, ff.mul
+    bases: dict[tuple[int, ...], list] = {}  # (pivot, minus the basis row) by prefix
+
+    def form(x: Sequence[int]) -> tuple[int, ...]:
+        out: tuple[int, ...] = ()
+        for i, start in enumerate(starts):
+            prefix = out[:start]
+            if prefix not in bases:
+                rows, pivots = _row_reduce(ff, [list(prefix[j:j + n]) for j in range(0, start, n)])
+                bases[prefix] = [(c, [ff.neg(v) for v in row]) for c, row in zip(pivots, rows)]
+            row = x[i * n:i * n + n]
+            for c, minus in bases[prefix]:
+                if a := row[c]:
+                    row = [add(v, mul(a, m)) for v, m in zip(row, minus)]
+            out += tuple(row)
+        return out
+
+    return form
+
+
+def _coset_forms(ff: FiniteField, classes: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """The canonical forms of the cosets U'g in GL_n, flat and in increasing order.
+
+    The rows of each class are independent vectors, in increasing order,
+    that vanish at the pivots of the rows before the class.  Such a row lies
+    in the span of the earlier rows only if it lies in that of the earlier
+    rows of its class, so the block of a class is any independent tuple of
+    these vectors.
+    """
+    n = sum(map(len, classes))
+    scalars = range(ff.order)
+
+    def extend(rows: Mat, k: int) -> Iterator[tuple[int, ...]]:
+        if k == len(classes):
+            yield _flat(rows)
+            return
+        _, pivots = _row_reduce(ff, [list(r) for r in rows])
+        free = itertools.product(*((0,) if c in pivots else scalars for c in range(n)))
+        for block in _iter_gl(n, ff, free, len(classes[k])):
+            yield from extend(rows + block, k + 1)
+
+    return extend((), 0)
 
 
 # A row or column operation on a flat row-major n*n matrix: it sets
@@ -860,73 +961,84 @@ def _compile_moves(
 def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ...]:
     """The generators (p', p) of `zip_generators`, acting by g -> p' g p^{-1}, as moves.
 
-    Over F_2 the Levi scaling is the identity pair and compiles to nothing.
+    The pairs (p', 1) generate U', which fixes every coset U'g and is left
+    out.  Over F_2 the Levi scaling is the identity pair and compiles to
+    nothing.
     """
     ff = _points_field(datum, ext)
+    one = mat_identity(datum.n)
 
     def inverse(m: Mat) -> Mat:
         # p differs from the identity in one entry; inverting that entry
         # alone keeps mat_inv out of each orbit search of classify
-        entry = _elementary_entry(m)
-        if entry is None:
-            return m
-        i, j, c = entry
+        i, j, c = _elementary_entry(m)
         c = ff.inv(c) if i == j else ff.neg(c)
         return tuple(
             tuple(c if (a, b) == (i, j) else v for b, v in enumerate(row))
             for a, row in enumerate(m)
         )
 
-    pairs = ((pp, inverse(p)) for pp, p in zip_generators(datum, ext))
+    pairs = ((pp, inverse(p)) for pp, p in zip_generators(datum, ext) if p != one)
     return _compile_moves(pairs, datum.n, ff.add, ff.mul, ff.order)
 
 
 def _walk_orbit(
     moves: Sequence[tuple[_Op, ...]],
     start: tuple[int, ...],
+    form: _Form,
     guard: int = ENUMERATION_GUARD,
 ) -> set[tuple[int, ...]]:
-    """The orbit of a flat matrix under the finite group the moves generate.
+    """The orbit of a flat matrix under the finite group the moves generate, as forms.
 
-    The walk is shared by every orbit computation of the package, over finite
-    fields and over truncated Witt rings; it only reads the moves' tables.
+    Each image of a move is replaced by its `form`; `start` must be a
+    form.  More than
+    `guard` forms raise TooLarge.  The walk is shared by every orbit
+    computation of the package, over finite fields and over truncated Witt
+    rings; it only reads the moves' tables.
     """
     orbit = {start}
     stack = [start]
     while stack:
+        if len(orbit) > guard:
+            raise TooLarge("orbit sweep exceeded the exhaustion guard")
         cur = stack.pop()
         for ops in moves:
             x = list(cur)
             for links, table in ops:
                 for d, s in links:
                     x[d] = table[x[s]][x[d]]
-            nxt = tuple(x)
+            nxt = form(x)
             if nxt not in orbit:
-                if len(orbit) >= guard:
-                    raise TooLarge("orbit sweep exceeded the exhaustion guard")
                 orbit.add(nxt)
                 stack.append(nxt)
     return orbit
 
 
 def _orbit_partition(
-    moves: Sequence[tuple[_Op, ...]], points: Sequence[tuple[int, ...]], order: int
+    moves: Sequence[tuple[_Op, ...]],
+    points: Sequence[tuple[int, ...]],
+    order: int,
+    form: _Form,
+    weight: int = 1,
 ) -> Iterator[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
     """(seed, orbit) for the orbits of the moves on `points`, seeded at the first uncovered point.
 
-    An orbit meeting an earlier one, or whose size does not divide the group
-    order, raises InvariantError; the caller checks that the orbits exhaust.
+    The points are forms, as in `_walk_orbit`, each standing for `weight`
+    points of the space.  An orbit meeting an earlier one, or whose size
+    does not divide the group order, raises InvariantError; the caller checks
+    that the points exhaust the space.
     """
     remaining = set(points)
     for seed in points:
         if seed not in remaining:
             continue
-        orbit = _walk_orbit(moves, seed)
+        orbit = _walk_orbit(moves, seed, form)
         if not orbit <= remaining:
             raise InvariantError("an orbit meets an orbit found before it")
         remaining -= orbit
-        if order % len(orbit):
-            raise InvariantError(f"an orbit of {len(orbit)} points does not divide |G| = {order}")
+        size = weight * len(orbit)
+        if order % size:
+            raise InvariantError(f"an orbit of {size} points does not divide |G| = {order}")
         yield seed, orbit
 
 

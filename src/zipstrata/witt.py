@@ -792,7 +792,7 @@ def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[fro
     moves = _display_moves(ring, n, d_block, elements)
     points = [tuple(_code(v) for row in z for v in row) for z in _invertible_blocks(ring, n)]
     orbits = []
-    for _, orbit in _orbit_partition(moves, points, order):
+    for _, orbit in _orbit_partition(moves, points, order, tuple):
         orbits.append(frozenset(
             tuple(tuple(elements[c] for c in z[i * n:(i + 1) * n]) for i in range(n))
             for z in orbit

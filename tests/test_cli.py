@@ -290,10 +290,10 @@ def test_orbits_rejects_a_composite_field_size_as_usage_error(capsys):
 
 
 def test_orbits_refuses_an_oversized_field_before_building_it(capsys, monkeypatch):
-    def no_products(self, a, b):
+    def no_tables(self):
         raise AssertionError("no field table may be built")
 
-    monkeypatch.setattr(FiniteField, "_mul_raw", no_products)
+    monkeypatch.setattr(FiniteField, "_build_tables", no_tables)
     code, out, err = run(capsys, "orbits", "--n", "2", "--q", "4194304")
     assert code == 3
     assert out == ""

@@ -100,8 +100,9 @@ def test_field_construction_walks_each_candidate_once(monkeypatch):
 
 
 def test_field_construction_walks_only_the_generator(monkeypatch):
-    # F_{2^14}: one walk of 2^14 - 2 products, plus the power tests of the
-    # candidates against the primes 3, 43 and 127 of 2^14 - 1
+    # F_{2^14}: the walk of the 2^14 - 2 powers steps on digit lists, so only
+    # the power tests of the candidates against the primes 3, 43 and 127 of
+    # 2^14 - 1 multiply polynomials
     calls = []
     real = ffield._coeff_mul
 
@@ -111,15 +112,25 @@ def test_field_construction_walks_only_the_generator(monkeypatch):
 
     monkeypatch.setattr(ffield, "_coeff_mul", counting)
     field = FiniteField(2, 14)
-    assert len(calls) <= 17500
+    assert len(calls) <= 500
     assert sorted(field._exp) == list(range(1, field.order))
+
+
+@pytest.mark.parametrize("p,d", [(2, 9), (2, 12), (3, 7), (5, 5), (7, 3), (4099, 1)])
+def test_exp_table_steps_by_the_reference_product(p, d):
+    # generators with several nonzero digits, a digit above 1, and a prime field
+    field = FiniteField(p, d)
+    exp = field._exp
+    assert len(exp) == field.order - 1 and exp[0] == 1
+    for k, x in enumerate(exp):
+        assert field._mul_raw(x, field.generator) == exp[(k + 1) % len(exp)]
 
 
 def test_oversized_fields_are_refused_before_any_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("no table may be built for a refused field")
 
-    monkeypatch.setattr(FiniteField, "_mul_raw", refuse)
+    monkeypatch.setattr(FiniteField, "_build_tables", refuse)
     monkeypatch.setattr(ffield, "smallest_irreducible", refuse)
     with pytest.raises(TooLarge, match="4194304"):
         FiniteField(2, 22)

@@ -323,6 +323,64 @@ def test_census_equals_the_brute_force_partition_past_f4(n, field, I, frob_power
     ] == _brute_force_census(d)
 
 
+def _pinned_census_data():
+    for field in (F2, F3, F4):
+        for n in (2, 3):
+            for I in _all_block_types(n):
+                for frob_power in (None,) + tuple(range(field.degree + 1)):
+                    yield make_zip_datum(n, field, I, frob_power=frob_power), 1
+    for ext in (2, 3, 4):
+        yield make_zip_datum(2, F2, ()), ext
+    yield make_zip_datum(2, F3, ()), 2
+    for I in _all_block_types(4):
+        yield make_zip_datum(4, F2, I), 1
+
+
+# captured at commit 02e2acb, whose census walked every point of GL_n
+CENSUS_DIGEST = "e1b09451fa9cd9c461464a3284b93cbd0a7f5b2aff92beff5b7e524ecf205098"
+
+
+def test_census_records_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for d, ext in _pinned_census_data():
+        census = zip_orbit_census(d, ext)
+        records = [(r.rep, r.size, r.stabilizer_order, r.cell) for r in census.orbits]
+        digest.update(repr((census.group_order, records)).encode())
+    assert digest.hexdigest() == CENSUS_DIGEST
+
+
+def _radical_points(d, ff):
+    """Every u' of U': the identity on the Levi blocks, any entries below them."""
+    ids = grouplab._class_ids(d.classes, d.n)
+    below = [(i, j) for i in range(d.n) for j in range(d.n) if ids[i] > ids[j]]
+    for values in product(range(ff.order), repeat=len(below)):
+        u = [list(row) for row in mat_identity(d.n)]
+        for (i, j), v in zip(below, values):
+            u[i][j] = v
+        yield tuple(tuple(row) for row in u)
+
+
+@pytest.mark.parametrize(
+    "n,field,I", [(3, F3, ()), (4, F2, (2,))], ids=["GL3-F3", "GL4-F2-I2"]
+)
+def test_coset_form_is_the_least_point_of_each_coset(n, field, I):
+    d = make_zip_datum(n, field, I)
+    radical = tuple(_radical_points(d, field))
+    form = grouplab._coset_form(field, d.classes)
+    remaining = set(gl_points(n, field))
+    least = []
+    while remaining:
+        g = remaining.pop()
+        coset = {mat_mul(field, u, g) for u in radical}
+        assert len(coset) == len(radical), "U' acts freely"
+        remaining -= coset
+        least.append(grouplab._flat(min(coset)))
+        assert {form(grouplab._flat(h)) for h in coset} == {least[-1]}
+    forms = list(grouplab._coset_forms(field, d.classes))
+    assert forms == sorted(least)
+    assert len(forms) * len(radical) == gl_order(n, field.order)
+
+
 def _apply_ops(ops, x):
     """Apply compiled row and column operations to a flat matrix, one by one."""
     x = list(x)
@@ -354,9 +412,11 @@ def test_compiled_moves_act_as_their_generator_matrices(p, degree, n, I, frob_po
         return tuple(chain.from_iterable(m))
 
     fixed = tuple(flat(g) for g in samples)
+    # the pairs (p', 1) generate U', which fixes every coset U'g: they compile to no move
     expected = {
         tuple(flat(mat_mul(ff, mat_mul(ff, pp, g), mat_inv(ff, p))) for g in samples)
         for pp, p in zip_generators(d, ext)
+        if p != mat_identity(n)
     }
     moves = _zip_moves(d, ext)
     images = [tuple(_apply_ops(ops, x) for x in fixed) for ops in moves]
@@ -814,7 +874,8 @@ MINUS_O_CASES = {
     ),
     "ffield without a unit generator": (
         """
-        ffield.FiniteField._mul_raw = lambda self, a, b: 1
+        # with no prime dividing 3 = |F_4^*|, the unit 1 passes for a generator
+        ffield.is_prime = lambda n: n == 2
         ffield.FiniteField(2, 2)
         """,
         "the unit group of a finite field must be cyclic",
@@ -853,6 +914,15 @@ MINUS_O_CASES = {
         grouplab.lang_preimage(ffield.get_field(2, 1), ((1, 1), (0, 1)))
         """,
         "the Frobenius-fixed rows of a norm-one target span no basis",
+    ),
+    "grouplab cosets short of GL_n": (
+        """
+        import itertools
+        real = grouplab._coset_forms
+        grouplab._coset_forms = lambda ff, classes: itertools.islice(real(ff, classes), 1, None)
+        grouplab.zip_orbit_census(grouplab.make_zip_datum(2, ffield.get_field(2, 1), ()))
+        """,
+        "the cosets of U' do not exhaust GL_n",
     ),
     "grouplab layer twist off the Levi classes": (
         """
@@ -928,6 +998,29 @@ def test_orbit_search_finds_exactly_the_reachable_targets():
     hits, size = zip_orbit_search(d, anti, (identity, anti))
     assert hits == (anti,)
     assert size == 2
+
+
+@pytest.mark.parametrize(
+    "n,field,I,ext",
+    [(2, F4, (), 1), (2, F4, (), 2), (3, F2, (1,), 1)],
+    ids=["GL2-F4", "GL2-F16", "GL3-F2-I1"],
+)
+def test_orbit_search_guards_points_and_meets_targets_off_the_form(n, field, I, ext):
+    d = make_zip_datum(n, field, I)
+    ff = get_field(field.p, field.degree * ext)
+    # 1 + E_{n-1,0} lies in U', so u'.rep is another point of the coset of rep
+    u = tuple(
+        tuple(1 if i == j or (i, j) == (d.n - 1, 0) else 0 for j in range(d.n)) for i in range(d.n)
+    )
+    for record in zip_orbit_census(d, ext).orbits:
+        with pytest.raises(TooLarge):
+            zip_orbit_search(d, record.rep, (), ext, guard=record.size - 1)
+        target = mat_mul(ff, u, record.rep)
+        assert target != record.rep
+        assert zip_orbit_search(d, record.rep, (target,), ext, guard=record.size) == (
+            (target,), record.size
+        )
+        assert zip_orbit_search(d, target, (record.rep,), ext) == ((record.rep,), record.size)
 
 
 def test_orbit_search_respects_its_guard():
