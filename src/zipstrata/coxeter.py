@@ -14,9 +14,14 @@ characterisation.  The direct criterion compares one integer per element,
 cached on the element.  In types A, B and C that integer is the rank matrix
 (of the doubled permutation in types B and C) packed into fixed-width fields
 with one guard bit each, so that entrywise dominance is a single
-subtraction.  In type D it is the element's Bruhat down-set as a bitmask
-over the positions in ``elements()``, built once per group by closing the
-covering relation; v <= w iff the down-set of v lies inside that of w.
+subtraction against the group's guard mask, computed once and cached on the
+group.  In type D it is the element's Bruhat down-set as a bitmask over the
+positions in ``elements()``, built once per group by closing the covering
+relation; v <= w iff the down-set of v lies inside that of w.  The cached
+guard of a type D group is 0, which selects the down-set test.
+
+Hot paths (reduced words, coset representatives, words to elements) work on
+windows and build a validated ``WeylElement`` only for what they return.
 """
 
 from __future__ import annotations
@@ -172,6 +177,18 @@ class WeylGroup:
     def reflections(self) -> tuple["WeylElement", ...]:
         return tuple(reflection_of_root(self, r) for r in self.positive_roots())
 
+    @cached_property
+    def _simple_windows(self) -> tuple[Window, ...]:
+        """Windows of s_1, ..., s_rank."""
+        return tuple(s.window for s in self.simple_reflections)
+
+    @cached_property
+    def _bruhat_guard(self) -> int:
+        """Guard mask of the packed rank keys; 0 in type D, whose keys are down-sets."""
+        if self.family == "D":
+            return 0
+        return _rank_packing(self.npoints if self.family == "A" else 2 * self.rank)[2]
+
     def __repr__(self) -> str:
         return f"WeylGroup({self.family}{self.rank})"
 
@@ -206,10 +223,7 @@ class WeylElement:
         return WeylElement(self.group, _compose(self.window, other.window))
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.window)
-        for i, v in enumerate(self.window, start=1):
-            inv[abs(v) - 1] = i if v > 0 else -i
-        return WeylElement(self.group, tuple(inv))
+        return WeylElement(self.group, _inverse_window(self.window))
 
     def act_on_root(self, root: Root) -> Root:
         out = [0] * len(root)
@@ -239,9 +253,9 @@ class WeylElement:
         )
 
     def left_descents(self) -> frozenset[int]:
-        inv = self.inverse()
+        fam, inv = self.group.family, _inverse_window(self.window)
         return frozenset(
-            i for i in range(1, self.group.rank + 1) if is_right_descent(inv, i)
+            i for i in range(1, self.group.rank + 1) if _window_descent(fam, inv, i)
         )
 
     def __repr__(self) -> str:
@@ -260,20 +274,37 @@ def _compose(x: Sequence[int], y: Sequence[int]) -> Window:
     return tuple(x[v - 1] if v > 0 else -x[-v - 1] for v in y)
 
 
+def _inverse_window(window: Sequence[int]) -> Window:
+    """Window of the inverse of a signed permutation."""
+    inv = [0] * len(window)
+    for i, v in enumerate(window, start=1):
+        inv[abs(v) - 1] = i if v > 0 else -i
+    return tuple(inv)
+
+
 def _after(a: int, b: int) -> bool:
     """Whether a comes after b in the order 1 < 2 < ... < N < -N < ... < -1."""
     return a > b if (a > 0) == (b > 0) else a < 0
 
 
 def _length(family: str, window: Sequence[int]) -> int:
+    """Count the inversions of the module docstring's signed-permutation formulas.
+
+    With f numbering the values in the order 1 < ... < N < -N < ... < -1 by
+    1..2N, f(-b) = 2N + 1 - f(b): w(k) comes after -w(l) iff f(w(k)) + f(w(l))
+    exceeds 2N + 1, and w(k) < 0 iff f(w(k)) > N.
+    """
+    N = len(window)
+    top = 2 * N + 1
+    f = [v if v > 0 else top + v for v in window]
     out = 0
-    for k, a in enumerate(window):
-        for b in window[k + 1 :]:
-            out += _after(a, b)
-            if family != "A":
-                out += _after(a, -b)
-        if a < 0 and family in ("B", "C"):
-            out += 1
+    for k, a in enumerate(f):
+        rest = f[k + 1 :]
+        out += sum(1 for b in rest if b < a)
+        if family != "A":
+            out += sum(1 for b in rest if a + b > top)
+    if family in ("B", "C"):
+        out += sum(1 for a in f if a > N)
     return out
 
 
@@ -306,24 +337,34 @@ def _reduced_word(w: WeylElement) -> tuple[int, ...]:
     the left of w multiplies w**-1 by s_i on the right, which moves entries
     of the inverse window.  Each step shortens w, so the loop is bounded by
     the length of the longest element.
+
+    The descent of s_i reads positions i and i + 1 of the inverse window (i
+    and n - 1 for D's s_n, only n for B's and C's s_n).  Stripping s_k moves
+    positions k and k + 1 (n - 1 and n for D's s_n), so no descent below
+    k - 1 (below n - 2 after D's s_n) can appear, and none was there before
+    since k was the smallest: the next scan starts there.
     """
     group = w.group
     fam, n = group.family, group.rank
-    inv = list(w.inverse().window)
+    inv = list(_inverse_window(w.window))
     word: list[int] = []
+    start = 1
     for _ in range(group.positive_root_count):
         found = next(
-            (i for i in range(1, n + 1) if _window_descent(fam, inv, i)), None
+            (i for i in range(start, n + 1) if _window_descent(fam, inv, i)), None
         )
         if found is None:
             break
         word.append(found)
         if fam == "A" or found < n:
             inv[found - 1], inv[found] = inv[found], inv[found - 1]
+            start = max(found - 1, 1)
         elif fam == "D":
             inv[n - 2], inv[n - 1] = -inv[n - 1], -inv[n - 2]
+            start = max(n - 2, 1)
         else:
             inv[n - 1] = -inv[n - 1]
+            start = max(found - 1, 1)
     if inv != list(range(1, group.npoints + 1)):
         raise InvariantError(f"descent stripping does not reduce {w!r} to the identity")
     return tuple(word)
@@ -335,10 +376,14 @@ def word_string(w: WeylElement) -> str:
 
 
 def element_from_word(group: WeylGroup, word: Iterable[int]) -> WeylElement:
-    out = group.identity()
+    """The product s_{i_1} * s_{i_2} * ... of a word, composed on windows."""
+    gens = group._simple_windows
+    out: Window = tuple(range(1, group.npoints + 1))
     for i in word:
-        out = out * group.simple_reflection(i)
-    return out
+        if not 1 <= i <= group.rank:
+            raise ValueError(f"simple index {i} out of range")
+        out = _compose(out, gens[i - 1])
+    return WeylElement(group, out)
 
 
 def reflection_of_root(group: WeylGroup, root: Root) -> WeylElement:
@@ -438,24 +483,26 @@ def parabolic_order(group: WeylGroup, subset: "ParabolicType | Iterable[int]") -
 
 
 def parabolic_elements(group: WeylGroup, subset: "ParabolicType | Iterable[int]") -> tuple[WeylElement, ...]:
-    """All elements of W_K, BFS over the generating reflections."""
+    """All elements of W_K, BFS over the generating reflections on windows."""
     K = ParabolicType.of(subset)
     K.validate(group)
     if parabolic_order(group, K) > ENUMERATION_GUARD:
         raise TooLarge("parabolic subgroup too large to enumerate")
-    gens = [group.simple_reflection(i) for i in K]
-    seen = {group.identity()}
-    frontier = [group.identity()]
+    gens = [group._simple_windows[i - 1] for i in K]
+    e = tuple(range(1, group.npoints + 1))
+    seen = {e}
+    frontier = [e]
     while frontier:
         nxt = []
         for w in frontier:
             for s in gens:
-                u = s * w
+                u = _compose(s, w)
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (w.length, w.window)))
+    elements = [WeylElement(group, w) for w in seen]
+    return tuple(sorted(elements, key=lambda w: (w.length, w.window)))
 
 
 @lru_cache(maxsize=None)
@@ -505,8 +552,8 @@ def longest_element_parabolic(group: WeylGroup, subset: "ParabolicType | Iterabl
 
 
 def has_left_descent_in(w: WeylElement, K: ParabolicType) -> bool:
-    inv = w.inverse()
-    return any(is_right_descent(inv, i) for i in K)
+    fam, inv = w.group.family, _inverse_window(w.window)
+    return any(_window_descent(fam, inv, i) for i in K)
 
 
 def _blocks_of_type_a_subset(group: WeylGroup, K: ParabolicType) -> list[list[int]]:
@@ -536,8 +583,7 @@ def _min_reps_type_a(group: WeylGroup, K: ParabolicType) -> list[WeylElement]:
 
     def deal(block_idx: int, free_positions: tuple[int, ...], inv: list[int]) -> None:
         if block_idx == len(blocks):
-            w_inv = WeylElement(group, tuple(inv))
-            reps.append(w_inv.inverse())
+            reps.append(WeylElement(group, _inverse_window(inv)))
             return
         values = blocks[block_idx]
         for chosen in combinations(free_positions, len(values)):
@@ -682,19 +728,15 @@ def _window_bruhat_key(group: WeylGroup, window: Sequence[int]) -> int:
     return _rank_key(_doubled_window(window))
 
 
-def _rank_guard(group: WeylGroup) -> int:
-    return _rank_packing(group.npoints if group.family == "A" else 2 * group.rank)[2]
-
-
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     """Direct Bruhat order test (no word enumeration)."""
-    if v.group != w.group:
+    group = v.group
+    if w.group is not group and w.group != group:
         raise ValueError("elements of different groups")
-    kv, kw = v._bruhat_key, w._bruhat_key
-    if v.group.family == "D":
-        return kv & ~kw == 0
-    guard = _rank_guard(v.group)
-    return ((kw | guard) - kv) & guard == guard
+    guard = group._bruhat_guard
+    if not guard:
+        return v._bruhat_key & ~w._bruhat_key == 0
+    return ((w._bruhat_key | guard) - v._bruhat_key) & guard == guard
 
 
 def bruhat_up_mask(
@@ -707,7 +749,8 @@ def bruhat_up_mask(
     highs[j] qualifies iff its down-set meets that mask.
     """
     mask = 0
-    if group.family == "D":
+    guard = group._bruhat_guard
+    if not guard:
         index, _ = _bruhat_downsets_d(group)
         positions = 0
         for t in lows:
@@ -716,7 +759,6 @@ def bruhat_up_mask(
             if w._bruhat_key & positions:
                 mask |= 1 << j
         return mask
-    guard = _rank_guard(group)
     low_keys = {_window_bruhat_key(group, t) for t in lows}
     for j, w in enumerate(highs):
         high = w._bruhat_key | guard

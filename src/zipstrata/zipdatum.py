@@ -28,12 +28,12 @@ from .coxeter import (
     _compose,
     apply_diagram_automorphism,
     bruhat_up_mask,
+    element_from_word,
     has_left_descent_in,
     longest_element,
     longest_element_parabolic,
     min_coset_reps,
     min_double_coset_rep,
-    parabolic_elements,
     parabolic_order,
     simple_index_of,
     validate_diagram_automorphism,
@@ -133,9 +133,28 @@ def zip_from_cocharacter(
 
 @lru_cache(maxsize=None)
 def _twist_pairs(z: ZipCombinatorics) -> tuple[tuple[Window, Window], ...]:
-    """Windows of (u, psi(u)**-1) for every u in W_I."""
-    levi = parabolic_elements(z.group, z.I)
-    return tuple((u.window, z.psi(u).inverse().window) for u in levi)
+    """Windows of (u, psi(u)**-1) for every u in W_I, grown from the generators.
+
+    psi(s) is a conjugate of a reflection, hence an involution, so
+    psi(s * u)**-1 = psi(u)**-1 * psi(s): the pairs are walked breadth-first
+    from (e, e) by (u, p) -> (s * u, p * psi(s)), one composition of windows
+    each, with psi applied once per simple reflection of I.
+    """
+    group = z.group
+    gens = [(group._simple_windows[i - 1], z.psi(group.simple_reflection(i)).window) for i in z.I]
+    e = tuple(range(1, group.npoints + 1))
+    pairs = {e: e}
+    frontier = [(e, e)]
+    while frontier:
+        nxt = []
+        for u, p in frontier:
+            for s, ps in gens:
+                su = _compose(s, u)
+                if su not in pairs:
+                    pairs[su] = pair = _compose(p, ps)
+                    nxt.append((su, pair))
+        frontier = nxt
+    return tuple(pairs.items())
 
 
 def _twisted_row(z: ZipCombinatorics, w_prime: WeylElement, highs: Sequence[WeylElement]) -> int:
@@ -216,9 +235,9 @@ def stratum_poset(z: ZipCombinatorics) -> StratumPoset:
     if parabolic_order(z.group, z.I) > LEVI_ENUMERATION_GUARD:
         return StratumPoset(z, carrier, None, lengths, dims, (), False)
     rows = [_twisted_row(z, wp, carrier) for wp in carrier]
-    _validate_order(lengths, rows)
+    covers = _validate_order(lengths, rows)
     leq = _bool_rows(rows, len(carrier))
-    return StratumPoset(z, carrier, leq, lengths, dims, _covers_from_leq(rows), True)
+    return StratumPoset(z, carrier, leq, lengths, dims, covers, True)
 
 
 def _bit_rows(leq: Sequence[Sequence[bool]]) -> list[int]:
@@ -238,36 +257,44 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _validate_order(lengths: Sequence[int], rows: Sequence[int]) -> None:
-    """Check that bit rows (bit j of rows[i] iff i <= j) form a bounded partial order."""
+def _validate_order(lengths: Sequence[int], rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Check that bit rows (bit j of rows[i] iff i <= j) form a bounded partial order.
+
+    Returns the covers, as _covers_from_leq would: the elements strictly
+    above i that lie strictly above no other element above i, collected in
+    the same pass as the transitivity check.
+    """
     n = len(rows)
     has_lower = 0
+    covers = []
     for i, row in enumerate(rows):
         bit = 1 << i
         if not row & bit:
             raise InvariantError("order must be reflexive")
         above = row ^ bit
-        reach = row
+        dominated = 0
         for j in _bits(above):
             if rows[j] & bit:
                 raise InvariantError("order must be antisymmetric")
             if lengths[i] >= lengths[j]:
                 raise InvariantError("order must refine length")
-            reach |= rows[j]
-        if reach != row:
+            dominated |= rows[j] & ~(1 << j)
+        if dominated & ~row:
             raise InvariantError("order must be transitive")
+        covers.extend((i, j) for j in _bits(above & ~dominated))
         has_lower |= above
     if has_lower.bit_count() != n - 1:
         raise InvariantError("twisted order must have a unique minimum")
     if sum(1 for row in rows if row.bit_count() == 1) != 1:
         raise InvariantError("twisted order must have a unique maximum")
+    return tuple(covers)
 
 
 def _covers_from_leq(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j), i != j, with i <= j and no k outside {i, j} between them.
 
     rows are bit rows as in _validate_order.  The relation need not be an
-    order: a replayed file can carry any set of covers.
+    order: a replayed file can carry any set of covers, cycles included.
     """
     covers = []
     for i, row in enumerate(rows):
@@ -316,25 +343,35 @@ class PurityReport:
 
 
 def purity_check(z: ZipCombinatorics) -> PurityReport:
-    """Check that every maximal boundary stratum drops the length by exactly one."""
-    return purity_check_poset(stratum_poset(z))
+    """Check that every maximal boundary stratum drops the length by exactly one.
+
+    Reads the covers that stratum_poset found while validating the order.
+    """
+    poset = stratum_poset(z)
+    poset._need_order()
+    return _purity_report(poset, poset.covers)
 
 
 def purity_check_poset(poset: StratumPoset) -> PurityReport:
     """Purity on an explicit poset, e.g. one replayed from a file.
 
-    The maximal boundary strata of j are the i with (i, j) a cover of the
-    relation; every one must have length one less.  Violations are listed by j,
-    then by i.
+    The covers are derived again from the relation, which a replayed file
+    may make cyclic or redundant.
     """
-    rows = _bit_rows(poset._need_order())
-    lengths = poset.length_of
-    words = [w.reduced_word() for w in poset.carrier]
-    covers = sorted(_covers_from_leq(rows), key=lambda c: (c[1], c[0]))
+    return _purity_report(poset, _covers_from_leq(_bit_rows(poset._need_order())))
+
+
+def _purity_report(poset: StratumPoset, covers: Iterable[tuple[int, int]]) -> PurityReport:
+    """Purity read off the covers of the relation.
+
+    The maximal boundary strata of j are the i with (i, j) a cover; every one
+    must have length one less.  Violations are listed by j, then by i.
+    """
+    carrier, lengths = poset.carrier, poset.length_of
+    bad = sorted((j, i) for i, j in covers if lengths[j] - lengths[i] != 1)
     violations = tuple(
-        PurityViolation(words[j], words[i], lengths[j], lengths[i])
-        for i, j in covers
-        if lengths[j] - lengths[i] != 1
+        PurityViolation(carrier[j].reduced_word(), carrier[i].reduced_word(), lengths[j], lengths[i])
+        for j, i in bad
     )
     return PurityReport(not violations, violations, len(lengths))
 
@@ -459,25 +496,45 @@ def _export_dot(poset: StratumPoset) -> str:
 
 
 def import_poset(text: str) -> StratumPoset:
-    """Rebuild a poset from its JSON export; the order is the closure of the covers."""
-    obj = json.loads(text)
-    group = WeylGroup(obj["group"]["family"], obj["group"]["rank"])
-    z = build_zip(
-        group,
-        obj["I"],
-        obj["J"],
-        tuple(obj["delta"]),
-        gl_center=obj["group"]["gl_center"],
-    )
-    from .coxeter import element_from_word
+    """Rebuild a poset from its JSON export; the order is the closure of the covers.
 
-    carrier = tuple(element_from_word(group, s["word"]) for s in obj["strata"])
-    lengths = tuple(int(s["length"]) for s in obj["strata"])
-    dims = tuple(int(s["dim"]) for s in obj["strata"])
-    covers = tuple((int(a), int(b)) for a, b in obj["covers"])
+    Raises ValueError when a field is missing or has the wrong shape, when a
+    stratum word is repeated or is not a minimal coset representative for I,
+    when a recorded length or dimension disagrees with its word, or when a
+    cover names a stratum outside 0..n-1.
+    """
+    obj = json.loads(text)
+    try:
+        group = WeylGroup(obj["group"]["family"], obj["group"]["rank"])
+        z = build_zip(
+            group,
+            obj["I"],
+            obj["J"],
+            tuple(obj["delta"]),
+            gl_center=obj["group"]["gl_center"],
+        )
+        carrier = tuple(element_from_word(group, s["word"]) for s in obj["strata"])
+        lengths = tuple(int(s["length"]) for s in obj["strata"])
+        dims = tuple(int(s["dim"]) for s in obj["strata"])
+        covers = tuple((int(a), int(b)) for a, b in obj["covers"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed poset file: {exc!r}") from None
+    n = len(carrier)
+    if len(set(carrier)) != n:
+        raise ValueError("a stratum is listed twice")
+    base = dim_parabolic(z)
+    for k, w in enumerate(carrier):
+        _require_carrier_element(z, w)
+        if (lengths[k], dims[k]) != (w.length, base + w.length):
+            raise ValueError(
+                f"stratum {k} records length {lengths[k]} and dimension {dims[k]}, "
+                f"its word gives {w.length} and {base + w.length}"
+            )
+    for a, b in covers:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"cover ({a}, {b}) names a stratum outside 0..{n - 1}")
     if obj.get("order") != ORDER_COMPLETE:
         return StratumPoset(z, carrier, None, lengths, dims, (), False)
-    n = len(carrier)
     reach = [1 << j for j in range(n)]
     changed = True
     while changed:

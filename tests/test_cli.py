@@ -192,12 +192,41 @@ def test_purity_check_flags_a_corrupted_export_with_exit_code_four(capsys, tmp_p
     poset_file = tmp_path / "poset.json"
     run(capsys, "strata", "--group", "A", "--rank", "2", "--I", "1", "--out", str(poset_file))
     payload = json.loads(poset_file.read_text())
-    payload["strata"][-1]["length"] += 5
+    # the chain e < s2 < s2*s1 with its middle cover dropped: s2*s1 covers e
+    payload["covers"] = [[0, 2]]
     poset_file.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "purity-check", "--replay", str(poset_file))
     assert code == 4
     assert "result: FAIL" in out
-    assert "violation:" in out
+    assert "violation: stratum [2, 1] (length 2) covers [] (length 0)" in out
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: payload["covers"].append([0, 99]),
+        lambda payload: payload["covers"].append([-1, 0]),
+        lambda payload: payload["strata"][-1].update(length=payload["strata"][-1]["length"] + 5),
+        lambda payload: payload["strata"][0].pop("word"),
+        lambda payload: payload["covers"].append(5),
+    ],
+    ids=[
+        "cover index past the end",
+        "negative cover index",
+        "length disagreeing with the word",
+        "stratum without a word",
+        "cover that is not a pair",
+    ],
+)
+def test_purity_check_rejects_an_inconsistent_replay_file_as_domain_error(capsys, tmp_path, corrupt):
+    poset_file = tmp_path / "poset.json"
+    run(capsys, "strata", "--group", "A", "--rank", "2", "--I", "1", "--out", str(poset_file))
+    payload = json.loads(poset_file.read_text())
+    corrupt(payload)
+    poset_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "purity-check", "--replay", str(poset_file))
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "Traceback" not in err
 
 
 def test_purity_check_rejects_unreadable_replay_input_as_domain_error(capsys, tmp_path):
@@ -453,7 +482,7 @@ def corrupted_export(tmp_path):
     poset_file = tmp_path / "corrupted.json"
     assert main(["strata", "--group", "A", "--rank", "2", "--I", "1", "--out", str(poset_file)]) == 0
     payload = json.loads(poset_file.read_text())
-    payload["strata"][-1]["length"] += 5
+    payload["covers"] = [[0, 2]]
     poset_file.write_text(json.dumps(payload))
     return str(poset_file)
 

@@ -171,6 +171,54 @@ def test_reduced_word_is_reduced_and_lex_smallest():
     assert word_string(g.identity()) == "e"
 
 
+def _greedy_word_by_full_rescan(w):
+    """Strip the smallest left descent, rescanning every index each time."""
+    g = w.group
+    word = []
+    while not w.is_identity():
+        inv = w.inverse()
+        i = min(i for i in range(1, g.rank + 1) if is_right_descent(inv, i))
+        word.append(i)
+        w = g.simple_reflection(i) * w
+    return tuple(word)
+
+
+REDUCED_WORD_GROUPS = (
+    [("A", r) for r in range(1, 6)]
+    + [(f, r) for f in "BC" for r in range(1, 5)]
+    + [("D", r) for r in (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("fam,rank", REDUCED_WORD_GROUPS)
+def test_resumed_descent_scan_gives_the_full_rescan_word(fam, rank):
+    g = W(fam, rank)
+    for w in g.elements():
+        word = coxeter._reduced_word.__wrapped__(w)
+        assert word == _greedy_word_by_full_rescan(w), w
+        product = g.identity()
+        for i in word:
+            product = product * g.simple_reflection(i)
+        assert element_from_word(g, word) == product == w
+
+
+def test_resumed_descent_scan_on_the_k3_carrier():
+    # the 462 labels of GL_22 with blocks (1, 20, 1): I = {2, ..., 20} in A21
+    g = W("A", 21)
+    carrier = min_coset_reps(g, range(2, 21))
+    assert len(carrier) == 462
+    for w in carrier:
+        assert coxeter._reduced_word.__wrapped__(w) == _greedy_word_by_full_rescan(w)
+
+
+def test_element_from_word_rejects_indices_outside_the_simple_ones():
+    g = W("B", 3)
+    assert element_from_word(g, ()) == g.identity()
+    for bad in ((0,), (1, 4), (2, -1)):
+        with pytest.raises(ValueError):
+            element_from_word(g, bad)
+
+
 def test_longest_elements():
     assert longest_element(W("A", 3)).window == (4, 3, 2, 1)
     assert longest_element(W("B", 2)).window == (-1, -2)
@@ -337,6 +385,33 @@ def test_bruhat_basic_properties():
     assert not bruhat_leq(w0, e)
     with pytest.raises(ValueError):
         bruhat_leq(e, W("A", 2).identity())
+
+
+def test_bruhat_leq_across_equal_but_distinct_group_objects():
+    g, h = WeylGroup("B", 3), WeylGroup("B", 3)
+    assert g is not h and g == h
+    els_g = [g.element(w.window) for w in g.elements()]
+    els_h = [h.element(w.window) for w in g.elements()]
+    for v in els_g:
+        for w in els_h:
+            assert bruhat_leq(v, w) == bruhat_leq_subword(v, w)
+            assert bruhat_leq(w, v) == bruhat_leq_subword(w, v)
+    for other in (W("C", 3), W("A", 3), W("B", 2)):
+        with pytest.raises(ValueError):
+            bruhat_leq(g.identity(), other.identity())
+        with pytest.raises(ValueError):
+            bruhat_leq(other.identity(), g.identity())
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_type_d_down_set_path_agrees_with_subword(rank):
+    g = W("D", rank)
+    assert g._bruhat_guard == 0
+    assert W("B", rank)._bruhat_guard != 0
+    els = g.elements()
+    for v in els:
+        for w in els:
+            assert bruhat_leq(v, w) == bruhat_leq_subword(v, w)
 
 
 def test_doubled_dominance_is_not_a_valid_criterion_in_type_d():

@@ -94,7 +94,8 @@ def test_field_construction_walks_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(FiniteField, "_mul_raw", counting)
     field = FiniteField(2, 12)
-    assert len(calls) <= 2 * (field.order - 1)
+    # the tables are stepped on digit lists: building them multiplies no pair
+    assert calls == []
     for a, b in ((3, 5), (4095, 4095), (1234, 777)):
         assert field.mul(a, b) == real(field, a, b)
 

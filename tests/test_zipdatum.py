@@ -24,6 +24,9 @@ from zipstrata.coxeter import (
     word_string,
 )
 from zipstrata.zipdatum import (
+    _bit_rows,
+    _covers_from_leq,
+    _twist_pairs,
     PsiMismatch,
     PurityReport,
     PurityViolation,
@@ -149,6 +152,33 @@ def test_twisted_order_matches_the_brute_force_oracle_in_small_rank(family, rank
 def test_twisted_order_matches_the_brute_force_oracle_in_rank_four_and_five(family, rank, I):
     z = zip_from_cocharacter(create_weyl(family, rank), I)
     assert stratum_poset(z).leq == _brute_force_twisted_leq(z)
+
+
+def _small_and_larger_data():
+    for family, rank in SMALL_GROUPS:
+        yield from _all_cocharacter_data(family, rank)
+    for family, rank, I in LARGER_DATA:
+        yield zip_from_cocharacter(create_weyl(family, rank), I)
+
+
+def test_twist_pairs_grown_from_generators_match_psi_on_every_element():
+    for z in _small_and_larger_data():
+        oracle = {(u.window, z.psi(u).inverse().window) for u in parabolic_elements(z.group, z.I)}
+        pairs = _twist_pairs(z)
+        assert len(pairs) == parabolic_order(z.group, z.I)
+        assert set(pairs) == oracle, (z.group, z.I, z.delta)
+
+
+def test_covers_found_during_the_order_check_match_the_derived_covers():
+    for z in _small_and_larger_data():
+        poset = stratum_poset(z)
+        assert poset.covers == _covers_from_leq(_bit_rows(poset.leq)), (z.group, z.I, z.delta)
+
+
+@pytest.mark.parametrize("family,rank", SMALL_GROUPS)
+def test_purity_from_the_poset_covers_matches_the_replayed_check(family, rank):
+    for z in _all_cocharacter_data(family, rank):
+        assert purity_check(z) == purity_check_poset(stratum_poset(z))
 
 
 def test_twisted_order_on_projective_plane_datum_is_a_chain():
@@ -479,6 +509,68 @@ def test_large_hodge_shape_carrier_has_462_strata_with_order_omitted():
         purity_check(z)
     with pytest.raises(ValueError):
         closure(z, p.carrier[0])
+
+
+def _export_payload(family, rank, I):
+    z = zip_from_cocharacter(create_weyl(family, rank), I)
+    return json.loads(export_poset(stratum_poset(z), "json"))
+
+
+def _rejected(payload, match):
+    with pytest.raises(ValueError, match=match):
+        import_poset(json.dumps(payload))
+
+
+def test_import_rejects_cover_indices_outside_the_strata():
+    payload = _export_payload("A", 2, (1,))
+    n = len(payload["strata"])
+    for bad in ([0, n], [0, 99], [-1, 0], [1, -3]):
+        broken = json.loads(json.dumps(payload))
+        broken["covers"].append(bad)
+        _rejected(broken, "names a stratum outside")
+
+
+def test_import_rejects_lengths_and_dimensions_that_disagree_with_the_word():
+    payload = _export_payload("B", 2, (2,))
+    for key, shift in (("length", 1), ("length", -1), ("dim", 1), ("dim", -2)):
+        broken = json.loads(json.dumps(payload))
+        broken["strata"][-1][key] += shift
+        _rejected(broken, "its word gives")
+
+
+def test_import_rejects_a_repeated_stratum():
+    payload = _export_payload("A", 2, ())
+    broken = json.loads(json.dumps(payload))
+    broken["strata"][2] = dict(broken["strata"][1])
+    _rejected(broken, "listed twice")
+    # another reduced word of the top element: s1*s2*s1 = s2*s1*s2
+    broken = json.loads(json.dumps(payload))
+    assert broken["strata"][-1]["word"] == [1, 2, 1]
+    broken["strata"].append(dict(broken["strata"][-1], word=[2, 1, 2]))
+    _rejected(broken, "listed twice")
+
+
+def test_import_rejects_words_that_are_not_minimal_coset_representatives():
+    # I = {1} in A2: s1 has a left descent in I
+    payload = _export_payload("A", 2, (1,))
+    broken = json.loads(json.dumps(payload))
+    broken["strata"][1] = {"word": [1], "length": 1, "dim": broken["strata"][1]["dim"]}
+    _rejected(broken, "not a minimal coset representative")
+
+
+def test_import_rejects_missing_fields_and_misshapen_entries():
+    payload = _export_payload("A", 2, (1,))
+    edits = [
+        lambda p: p["strata"][0].pop("word"),
+        lambda p: p.pop("covers"),
+        lambda p: p["group"].pop("rank"),
+        lambda p: p["covers"].append(5),
+        lambda p: p["strata"].append(None),
+    ]
+    for edit in edits:
+        broken = json.loads(json.dumps(payload))
+        edit(broken)
+        _rejected(broken, "malformed poset file")
 
 
 def test_import_of_omitted_order_round_trips():
