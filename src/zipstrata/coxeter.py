@@ -821,10 +821,12 @@ def apply_diagram_automorphism(
     w: WeylElement,
 ) -> WeylElement:
     """Image of w under the diagram automorphism sending node i to delta(i)."""
-    images = validate_diagram_automorphism(w.group, delta)
-    out = w.group.identity()
-    for i in w.reduced_word():
-        out = out * w.group.simple_reflection(images[i - 1])
+    return _diagram_image(validate_diagram_automorphism(w.group, delta), w)
+
+
+def _diagram_image(images: tuple[int, ...], w: WeylElement) -> WeylElement:
+    """delta(w) for a validated node map: s_i -> s_images[i] along a reduced word, on windows."""
+    out = element_from_word(w.group, [images[i - 1] for i in w.reduced_word()])
     if out.length != w.length:
         raise InvariantError("a diagram automorphism must preserve length")
     return out

@@ -402,6 +402,37 @@ def mat_rank(field: FiniteField, a: Mat) -> int:
     return len(pivots)
 
 
+def _leading_block_ranks(field: FiniteField, g: Mat, prefixes: Sequence[int]) -> list[list[int]]:
+    """rank[a][b], the rank of the leading prefixes[a]-by-prefixes[b] block of g, from one elimination.
+
+    The rows of g join, one row block at a time, an echelon basis keyed by
+    pivot column (each basis row is 1 at its pivot and 0 before it).  The
+    pivots of a row space are the columns where the rank of its leading
+    columns grows, so the leading c columns of the first r rows have rank
+    the number of pivots left of c.
+    """
+    add, mul, inv, neg = field.add, field.mul, field.inv, field.neg
+    basis: dict[int, list[int]] = {}
+    rank = []
+    done = 0
+    for r in prefixes:
+        for row in g[done:r]:
+            v = list(row)
+            for c in range(len(v)):
+                x = v[c]
+                if not x:
+                    continue
+                if c not in basis:
+                    f = inv(x)
+                    basis[c] = [mul(f, y) for y in v]
+                    break
+                f = neg(x)
+                v = [add(y, mul(f, b)) for y, b in zip(v, basis[c])]
+        done = r
+        rank.append([sum(1 for pivot in basis if pivot < c) for c in prefixes])
+    return rank
+
+
 def mat_inv(field: FiniteField, a: Mat) -> Mat:
     n = len(a)
     aug = [list(a[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]

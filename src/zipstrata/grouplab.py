@@ -58,8 +58,8 @@ from .ffield import (
     mat_identity,
     mat_inv,
     mat_mul,
-    mat_rank,
     prime_power,
+    _leading_block_ranks,
     _row_reduce,
 )
 from .zipdatum import ZipCombinatorics, zip_from_cocharacter
@@ -473,9 +473,7 @@ def bruhat_cell(datum: ZipDatumGroupLevel, g: Mat, ext: int = 1) -> WeylElement:
     prefixes = [0]
     for cls in classes:
         prefixes.append(prefixes[-1] + len(cls))
-    rank = [
-        [mat_rank(ff, tuple(row[:c] for row in g[:r])) for c in prefixes] for r in prefixes
-    ]
+    rank = _leading_block_ranks(ff, g, prefixes)
     counts = [
         [
             rank[a + 1][b + 1] - rank[a][b + 1] - rank[a + 1][b] + rank[a][b]

@@ -26,8 +26,9 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
 from .coxeter import ENUMERATION_GUARD
@@ -85,6 +86,10 @@ __all__ = [
 ]
 
 
+# A coefficient table: one coefficient tuple per power of x.
+_Table = tuple[tuple[int, ...], ...]
+
+
 class NotInGroup(ValueError):
     """The block tuple does not define an element of the display group."""
 
@@ -98,7 +103,7 @@ class SingularZ(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaloisRing:
     """The Galois ring of characteristic p**m with residue field F_{p**d}.
 
@@ -106,6 +111,7 @@ class GaloisRing:
     the modulus is monic of degree d, irreducible modulo p, and normalised so
     that the class of x satisfies x**(p**d) = x exactly.  That normalisation
     makes the Frobenius lift act on the polynomial generator by x -> x**p.
+    Rings compare and hash by (p, d, m, modulus); the hash is computed once.
     """
 
     p: int
@@ -131,10 +137,20 @@ class GaloisRing:
             x = (0, 1)
             if _coeff_pow(x, self.p**self.d, self.modulus, q) != _poly_rem_q(x, self.modulus, q):
                 raise ValueError("the class of x must be a Teichmueller unit")
+        object.__setattr__(self, "_hash", hash((self.p, self.d, self.m, self.modulus)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.d, self.m, self.modulus) == (other.p, other.d, other.m, other.modulus)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # Derived values live in the instance dict: element operations read them
-    # on every call, and an lru_cache keyed by the ring would rehash all four
-    # fields on every lookup.
+    # on every call.
 
     @cached_property
     def char(self) -> int:
@@ -157,8 +173,9 @@ class GaloisRing:
         return GaloisRingElement(self, (1,) + (0,) * (self.d - 1))
 
     @cached_property
-    def _sigma_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        return _frobenius_tables(self)
+    def _sigma_tables(self) -> tuple[_Table, _Table, _Table]:
+        """The tables of sigma, sigma**-1 and V, stored by columns for `_apply_table`."""
+        return tuple(tuple(zip(*rows)) for rows in _frobenius_tables(self))
 
     def element(self, coeffs: Sequence[int]) -> "GaloisRingElement":
         if len(coeffs) > self.d:
@@ -182,22 +199,40 @@ class GaloisRing:
         return f"GaloisRing(p={self.p}, d={self.d}, m={self.m})"
 
 
-@dataclass(frozen=True)
 class GaloisRingElement:
-    """A ring element, stored as d coefficients reduced modulo p**m."""
+    """A ring element, stored as d coefficients reduced modulo p**m; immutable.
 
-    ring: GaloisRing
-    coeffs: tuple[int, ...]
+    Elements compare by coefficients, then by ring, and hash as
+    hash((ring, coeffs)).
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.ring.d:
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: GaloisRing, coeffs: Sequence[int]) -> None:
+        if len(coeffs) != ring.d:
             raise ValueError("the coefficient tuple must have length d")
-        q = self.ring.char
-        object.__setattr__(self, "coeffs", tuple([int(v) % q for v in self.coeffs]))
+        q = ring.char
+        _set_ring(self, ring)
+        _set_coeffs(self, tuple([int(v) % q for v in coeffs]))
 
-    def _same_ring(self, other: "GaloisRingElement") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("the elements live in different rings")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy would otherwise restore the slots through __setattr__;
+        # unchecked, since a ring being unpickled may not have its fields yet
+        return _element, (self.ring, self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaloisRingElement:
+            return NotImplemented
+        return self.coeffs == other.coeffs and (self.ring is other.ring or self.ring == other.ring)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.coeffs))
 
     @property
     def is_unit(self) -> bool:
@@ -212,25 +247,31 @@ class GaloisRingElement:
         return any(self.coeffs)
 
     def __add__(self, other: "GaloisRingElement") -> "GaloisRingElement":
-        self._same_ring(other)
-        q = self.ring.char
-        return _element(self.ring, tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
+        ring = self.ring
+        if other.ring is not ring:
+            _same_ring(ring, other.ring)
+        q = ring.char
+        return _element(ring, tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "GaloisRingElement":
         q = self.ring.char
         return _element(self.ring, tuple([(-a) % q for a in self.coeffs]))
 
     def __sub__(self, other: "GaloisRingElement") -> "GaloisRingElement":
-        self._same_ring(other)
-        q = self.ring.char
-        return _element(self.ring, tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
+        ring = self.ring
+        if other.ring is not ring:
+            _same_ring(ring, other.ring)
+        q = ring.char
+        return _element(ring, tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other: Union["GaloisRingElement", int]) -> "GaloisRingElement":
-        q = self.ring.char
+        ring = self.ring
+        q = ring.char
         if isinstance(other, int):
-            return _element(self.ring, tuple([(a * other) % q for a in self.coeffs]))
-        self._same_ring(other)
-        return _element(self.ring, _coeff_mul(self.coeffs, other.coeffs, self.ring.modulus, q))
+            return _element(ring, tuple([(a * other) % q for a in self.coeffs]))
+        if other.ring is not ring:
+            _same_ring(ring, other.ring)
+        return _element(ring, _coeff_mul(self.coeffs, other.coeffs, ring.modulus, q))
 
     def __rmul__(self, other: int) -> "GaloisRingElement":
         return self.__mul__(other)
@@ -260,12 +301,22 @@ class GaloisRingElement:
         return f"GaloisRingElement({self.coeffs} in p={r.p}, d={r.d}, m={r.m})"
 
 
+# The slots' own setters write past the __setattr__ that keeps elements immutable.
+_set_ring = GaloisRingElement.ring.__set__
+_set_coeffs = GaloisRingElement.coeffs.__set__
+_new = object.__new__
+
+
+def _same_ring(ring: GaloisRing, other: GaloisRing) -> None:
+    if ring != other:
+        raise ValueError("the elements live in different rings")
+
+
 def _element(ring: GaloisRing, coeffs: tuple[int, ...]) -> GaloisRingElement:
     """An element from d coefficients already reduced modulo p**m, unchecked."""
-    e = object.__new__(GaloisRingElement)
-    fields = e.__dict__
-    fields["ring"] = ring
-    fields["coeffs"] = coeffs
+    e = _new(GaloisRingElement)
+    _set_ring(e, ring)
+    _set_coeffs(e, coeffs)
     return e
 
 
@@ -329,11 +380,8 @@ def make_ring(p: int, d: int, m: int) -> GaloisRing:
         modulus = f0
     else:
         modulus = _teichmueller_modulus(p, d, m, f0)
-    ring = GaloisRing(p, d, m, modulus)
-    gen = ring.element((0, 1) if d >= 2 else (0,))
-    if gen ** (p**d) != gen:
-        raise InvariantError("the polynomial generator must be Teichmueller")
-    return ring
+    # GaloisRing checks that the class of x is Teichmueller
+    return GaloisRing(p, d, m, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -341,29 +389,29 @@ def make_ring(p: int, d: int, m: int) -> GaloisRing:
 # ---------------------------------------------------------------------------
 
 
-def _frobenius_tables(ring: GaloisRing) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Coefficient tables for sigma and its inverse: row i is sigma(x)**i."""
-    d, q, modulus = ring.d, ring.char, ring.modulus
-    xp = _coeff_pow((0, 1) if d >= 2 else (0,), ring.p, modulus, q)
-    xq = _coeff_pow((0, 1) if d >= 2 else (0,), ring.p ** (d - 1), modulus, q)
+def _frobenius_tables(ring: GaloisRing) -> tuple[_Table, _Table, _Table]:
+    """Coefficient tables of sigma, sigma**-1 and V = p * sigma**-1: row i is the image of x**i.
 
-    def powers(base: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        one = (1,) + (0,) * (d - 1)
+    At d = 1 sigma is the identity and V is the table ((p,),).
+    """
+    d, p, q, modulus = ring.d, ring.p, ring.char, ring.modulus
+    one = (1,) + (0,) * (d - 1)
+
+    def powers(e: int) -> _Table:
         rows = [one]
-        for _ in range(d - 1):
-            rows.append(_coeff_mul(rows[-1], base, modulus, q))
+        if d >= 2:
+            base = _coeff_pow((0, 1), e, modulus, q)
+            for _ in range(d - 1):
+                rows.append(_coeff_mul(rows[-1], base, modulus, q))
         return tuple(rows)
 
-    return powers(xp), powers(xq)
+    sigma_inv = powers(p ** (d - 1))
+    return powers(p), sigma_inv, tuple(tuple(p * v for v in row) for row in sigma_inv)
 
 
-def _apply_table(table: tuple[tuple[int, ...], ...], coeffs: tuple[int, ...], q: int) -> tuple[int, ...]:
-    out = [0] * len(coeffs)
-    for a, row in zip(coeffs, table):
-        if a:
-            for j, v in enumerate(row):
-                out[j] = (out[j] + a * v) % q
-    return tuple(out)
+def _apply_table(columns: _Table, coeffs: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """The coefficients of the image of coeffs under a table stored by columns."""
+    return tuple([sum(map(mul, coeffs, col)) % q for col in columns])
 
 
 def frobenius(x: GaloisRingElement) -> GaloisRingElement:
@@ -383,8 +431,9 @@ def frobenius_inv(x: GaloisRingElement) -> GaloisRingElement:
 
 
 def verschiebung(x: GaloisRingElement) -> GaloisRingElement:
-    """The additive shift V = p * sigma**(-1), so sigma(V(x)) = p*x."""
-    return frobenius_inv(x) * x.ring.p
+    """The additive shift V = p * sigma**(-1), so sigma(V(x)) = p*x; one table."""
+    ring = x.ring
+    return _element(ring, _apply_table(ring._sigma_tables[2], x.coeffs, ring.char))
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +524,6 @@ def rmat_inv(ring: GaloisRing, a: RMat) -> RMat:
     raise InvariantError("the Newton matrix inverse did not converge")
 
 
-def _rmat_key(a: RMat) -> tuple[int, ...]:
-    return tuple(c for row in a for v in row for c in v.coeffs)
-
-
 def _rmat_frobenius(a: RMat) -> RMat:
     return tuple(tuple(frobenius(v) for v in row) for row in a)
 
@@ -516,24 +561,11 @@ class DisplayGroupElement:
         if not 0 <= self.d_block <= self.n:
             raise ValueError("the block size must lie between 0 and n")
         db, rest = self.d_block, self.n - self.d_block
-        for name, block, rows, cols in (
-            ("A", self.A, db, db),
-            ("B_pre", self.B_pre, db, rest),
-            ("C", self.C, rest, db),
-            ("D", self.D, rest, rest),
-        ):
-            block = tuple(tuple(row) for row in block)
+        for name, rows, cols in (("A", db, db), ("B_pre", db, rest), ("C", rest, db), ("D", rest, rest)):
+            block = _checked_block(self.ring, name, getattr(self, name), rows, cols)
             object.__setattr__(self, name, block)
-            if len(block) != rows or any(len(r) != cols for r in block):
-                raise ValueError(f"block {name} must be {rows} by {cols}")
-            for row in block:
-                for v in row:
-                    if not isinstance(v, GaloisRingElement) or v.ring != self.ring:
-                        raise ValueError(f"block {name} must have entries in the ring")
-        ff = self.ring.residue_field
-        for block in (self.A, self.D):
-            if block and not mat_is_invertible(ff, residue_matrix(self.ring, block)):
-                raise NotInGroup("the diagonal blocks must be invertible modulo p")
+        _check_unit_block(self.ring, self.A)
+        _check_unit_block(self.ring, self.D)
 
     def __mul__(self, other: "DisplayGroupElement") -> "DisplayGroupElement":
         if (self.ring, self.n, self.d_block) != (other.ring, other.n, other.d_block):
@@ -562,6 +594,40 @@ class DisplayGroupElement:
             f"DisplayGroupElement(n={self.n}, d_block={self.d_block}, "
             f"ring=GR(p={self.ring.p}, d={self.ring.d}, m={self.ring.m}))"
         )
+
+
+def _checked_block(ring: GaloisRing, name: str, block: Sequence[Sequence], rows: int, cols: int) -> RMat:
+    """The block as a tuple of row tuples; refused unless rows by cols with entries in the ring."""
+    block = tuple(tuple(row) for row in block)
+    if len(block) != rows or any(len(r) != cols for r in block):
+        raise ValueError(f"block {name} must be {rows} by {cols}")
+    for row in block:
+        for v in row:
+            if not isinstance(v, GaloisRingElement) or v.ring != ring:
+                raise ValueError(f"block {name} must have entries in the ring")
+    return block
+
+
+def _check_unit_block(ring: GaloisRing, block: RMat) -> None:
+    if block and not mat_is_invertible(ring.residue_field, residue_matrix(ring, block)):
+        raise NotInGroup("the diagonal blocks must be invertible modulo p")
+
+
+_DISPLAY_FIELDS = ("ring", "n", "d_block", "A", "B_pre", "C", "D")
+
+
+def _display(
+    ring: GaloisRing, n: int, d_block: int, A: RMat, B_pre: RMat, C: RMat, D: RMat
+) -> DisplayGroupElement:
+    """A display element from blocks already checked, unchecked.
+
+    The fields are set one by one, as the generated __init__ sets them;
+    filling __dict__ directly would give each element a dict of its own.
+    """
+    x = object.__new__(DisplayGroupElement)
+    for name, value in zip(_DISPLAY_FIELDS, (ring, n, d_block, A, B_pre, C, D)):
+        object.__setattr__(x, name, value)
+    return x
 
 
 def identity_display(ring: GaloisRing, n: int, d_block: int) -> DisplayGroupElement:
@@ -619,21 +685,28 @@ def _all_blocks(ring: GaloisRing, rows: int, cols: int) -> list[RMat]:
     return out
 
 
-def _invertible_blocks(ring: GaloisRing, n: int) -> list[RMat]:
-    """The invertible n-by-n matrices over the ring, in key order.
+def _invertible_codes(ring: GaloisRing, n: int) -> list[tuple[int, ...]]:
+    """The invertible n-by-n matrices over the ring as flat code tuples, in coefficient order.
 
     A matrix is invertible exactly when its residue is, so these are the
     entrywise lifts of the points of GL_n over the residue field.
     """
-    lifts: list[list[GaloisRingElement]] = [[] for _ in range(ring.residue_field.order)]
-    for x in ring.elements():
-        lifts[x.residue()].append(x)
-    blocks = (
-        tuple(flat[i * n : (i + 1) * n] for i in range(n))
+    lifts: list[list[int]] = [[] for _ in range(ring.residue_field.order)]
+    for c, r in enumerate(_residue_codes(ring)):
+        lifts[r].append(c)
+    flats = [
+        flat
         for g in gl_points(n, ring.residue_field)
         for flat in itertools.product(*(lifts[v] for v in _flat(g)))
-    )
-    return sorted(blocks, key=_rmat_key)
+    ]
+    lex = _lex_codes(ring)
+    return sorted(flats, key=lambda flat: [lex[c] for c in flat])
+
+
+def _invertible_blocks(ring: GaloisRing, n: int) -> list[RMat]:
+    """The invertible n-by-n matrices over the ring, in coefficient order."""
+    elements = _elements_by_code(ring)
+    return [_decoded(elements, flat, n) for flat in _invertible_codes(ring, n)]
 
 
 def _ring_gl_order(ring: GaloisRing, k: int) -> int:
@@ -657,12 +730,20 @@ def display_group_points(ring: GaloisRing, n: int, d_block: int) -> tuple[Displa
     scan = max(ring.size ** (db * db), ring.size ** (rest * rest))
     if total > ENUMERATION_GUARD or scan > ENUMERATION_GUARD:
         raise TooLarge(f"the display group has {total} points")
-    out = []
-    for a in _invertible_blocks(ring, db):
-        for d in _invertible_blocks(ring, rest):
-            for b in _all_blocks(ring, db, rest):
-                for c in _all_blocks(ring, rest, db):
-                    out.append(DisplayGroupElement(ring, n, d_block, a, b, c, d))
+    a_list, d_list = _invertible_blocks(ring, db), _invertible_blocks(ring, rest)
+    b_list, c_list = _all_blocks(ring, db, rest), _all_blocks(ring, rest, db)
+    # each listed block gets the checks DisplayGroupElement makes, once
+    for name, listed, rows, cols in (
+        ("A", a_list, db, db), ("B_pre", b_list, db, rest), ("C", c_list, rest, db), ("D", d_list, rest, rest)
+    ):
+        for block in listed:
+            _checked_block(ring, name, block, rows, cols)
+    for block in a_list + d_list:
+        _check_unit_block(ring, block)
+    out = [
+        _display(ring, n, d_block, a, b, c, d)
+        for a in a_list for d in d_list for b in b_list for c in c_list
+    ]
     if len(out) != total:
         raise InvariantError(f"enumerated {len(out)} display group points, expected {total}")
     return tuple(out)
@@ -743,6 +824,30 @@ def _elements_by_code(ring: GaloisRing) -> list[GaloisRingElement]:
     return out
 
 
+def _decoded(elements: Sequence[GaloisRingElement], flat: tuple[int, ...], n: int) -> RMat:
+    """The n-by-n matrix whose entries, in row-major order, have the codes in flat."""
+    return tuple(tuple(elements[c] for c in flat[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _residue_codes(ring: GaloisRing) -> list[int]:
+    """The residue of each code, as the residue field's integer.
+
+    That integer is also the element's code in the level-one ring of the
+    same residue field: each digit is taken modulo p.
+    """
+    p, q, d = ring.p, ring.char, ring.d
+    return [sum(c // q**k % q % p * p**k for k in range(d)) for c in range(ring.size)]
+
+
+def _lex_codes(ring: GaloisRing) -> list[int]:
+    """A rank for each code whose order is the order of the coefficient tuples.
+
+    Flat code tuples compared through these ranks are in coefficient order.
+    """
+    q, d = ring.char, ring.d
+    return [sum(c // q**k % q * q ** (d - 1 - k) for k in range(d)) for c in range(ring.size)]
+
+
 def _code_add(ring: GaloisRing) -> Callable[[int, int], int]:
     """Addition of codes: coefficientwise modulo p**m."""
     q, d = ring.char, ring.d
@@ -777,30 +882,43 @@ def _display_moves(
     return _compile_moves(pairs, n, _code_add(ring), mul, ring.size)
 
 
-def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[frozenset, ...]:
-    """Partition the invertible n-by-n matrices into display-group orbits.
+def _coded_orbits(ring: GaloisRing, n: int, d_block: int) -> list[tuple[tuple[int, ...], set]]:
+    """(least point, orbit) for the display orbits on GL_n over the ring, as flat code tuples.
 
     Each orbit is walked with the display group's generators, applied as row
     and column operations on integer-coded matrices, and seeded at the least
-    uncovered point; |G| comes from its closed form.
+    uncovered point; |G| comes from its closed form.  Orbits come sorted by
+    size, then by least point.  Points are ordered by their entries'
+    coefficients read row by row (coefficient order).
     """
     space = ring.size ** (n * n)
     if space > ENUMERATION_GUARD:
         raise TooLarge(f"the level-{ring.m} matrix space has {space} points")
     order = display_group_order(ring, n, d_block)
-    elements = _elements_by_code(ring)
-    moves = _display_moves(ring, n, d_block, elements)
-    points = [tuple(_code(v) for row in z for v in row) for z in _invertible_blocks(ring, n)]
-    orbits = []
-    for _, orbit in _orbit_partition(moves, points, order, tuple):
-        orbits.append(frozenset(
-            tuple(tuple(elements[c] for c in z[i * n:(i + 1) * n]) for i in range(n))
-            for z in orbit
-        ))
+    moves = _display_moves(ring, n, d_block, _elements_by_code(ring))
+    points = _invertible_codes(ring, n)
+    orbits = [orbit for _, orbit in _orbit_partition(moves, points, order, tuple)]
     if sum(len(o) for o in orbits) != _ring_gl_order(ring, n):
         raise InvariantError(f"the orbits do not exhaust GL_{n} over the ring")
-    orbits.sort(key=lambda o: (len(o), _rmat_key(min(o, key=_rmat_key))))
-    return tuple(orbits)
+    lex = _lex_codes(ring)
+
+    def key(z: tuple[int, ...]) -> list[int]:
+        return [lex[c] for c in z]
+
+    ranked = [(min(o, key=key), o) for o in orbits]
+    ranked.sort(key=lambda ro: (len(ro[1]), key(ro[0])))
+    return ranked
+
+
+def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[frozenset, ...]:
+    """Partition the invertible n-by-n matrices into display-group orbits.
+
+    Orbits are sorted by size, then by least point in coefficient order.
+    """
+    elements = _elements_by_code(ring)
+    return tuple(
+        frozenset(_decoded(elements, z, n) for z in orbit) for _, orbit in _coded_orbits(ring, n, d_block)
+    )
 
 
 def orbit_census_level(n: int, p: int, d: int, m: int, d_block: int = 1) -> OrbitCensus:
@@ -811,22 +929,14 @@ def orbit_census_level(n: int, p: int, d: int, m: int, d_block: int = 1) -> Orbi
     apply at higher level and are left empty.
     """
     ring = make_ring(p, d, m)
-    partition = display_orbit_partition(ring, n, d_block)
     order = display_group_order(ring, n, d_block)
-    records = []
-    for orbit in partition:
-        rep = min(orbit, key=_rmat_key)
-        records.append(OrbitRecord(rep, len(orbit), order // len(orbit), None))
+    elements = _elements_by_code(ring)
+    records = [
+        OrbitRecord(_decoded(elements, rep, n), len(orbit), order // len(orbit), None)
+        for rep, orbit in _coded_orbits(ring, n, d_block)
+    ]
     total = sum(r.size for r in records)
     return OrbitCensus(m, total, tuple(records))
-
-
-def _reduce_rmat(ring_one: GaloisRing, z: RMat) -> RMat:
-    p = ring_one.p
-    return tuple(
-        tuple(GaloisRingElement(ring_one, tuple(c % p for c in v.coeffs)) for v in row)
-        for row in z
-    )
 
 
 def check_reduction(n: int, p: int, d: int, m: int, d_block: int = 1) -> dict:
@@ -834,21 +944,27 @@ def check_reduction(n: int, p: int, d: int, m: int, d_block: int = 1) -> dict:
 
     Returns a JSON-ready report with the orbit counts at both levels and a
     list of violations, which is empty exactly when every level-m orbit maps
-    into one level-one orbit under coefficientwise reduction modulo p.
+    into one level-one orbit under coefficientwise reduction modulo p.  The
+    reduction runs on codes: a level-m code reduces to the level-one code of
+    its residue.
     """
     ring_m = make_ring(p, d, m)
     ring_one = make_ring(p, d, 1)
-    orbits_m = display_orbit_partition(ring_m, n, d_block)
-    orbits_one = display_orbit_partition(ring_one, n, d_block)
-    index_one = {z: k for k, orbit in enumerate(orbits_one) for z in orbit}
+    orbits_m = _coded_orbits(ring_m, n, d_block)
+    orbits_one = _coded_orbits(ring_one, n, d_block)
+    index_one = {z: k for k, (_, orbit) in enumerate(orbits_one) for z in orbit}
+    reduce = _residue_codes(ring_m)
+    q = ring_m.char
     violations = []
-    for orbit in orbits_m:
-        hit = {index_one[_reduce_rmat(ring_one, z)] for z in orbit}
+    for rep, orbit in orbits_m:
+        hit = {index_one[tuple([reduce[c] for c in z])] for z in orbit}
         if len(hit) != 1:
-            rep = min(orbit, key=_rmat_key)
             violations.append(
                 {
-                    "orbit_rep": [[list(v.coeffs) for v in row] for row in rep],
+                    "orbit_rep": [
+                        [[c // q**k % q for k in range(d)] for c in rep[i * n : (i + 1) * n]]
+                        for i in range(n)
+                    ],
                     "level_one_orbits": len(hit),
                 }
             )

@@ -26,7 +26,7 @@ from .coxeter import (
     WeylElement,
     WeylGroup,
     _compose,
-    apply_diagram_automorphism,
+    _diagram_image,
     bruhat_up_mask,
     element_from_word,
     has_left_descent_in,
@@ -62,7 +62,8 @@ class ZipCombinatorics:
     gl_center: bool = False
 
     def delta_image(self, w: WeylElement) -> WeylElement:
-        return apply_diagram_automorphism(self.delta, w)
+        # build_zip stores delta validated
+        return _diagram_image(self.delta, w)
 
     def psi(self, w: WeylElement) -> WeylElement:
         """The twist w -> theta0 * delta(w) * theta0**-1."""

@@ -30,6 +30,7 @@ from zipstrata.coxeter import (
     min_double_coset_rep,
 )
 from zipstrata.ffield import (
+    _leading_block_ranks,
     get_field,
     gl_order,
     mat_identity,
@@ -638,6 +639,46 @@ def test_bruhat_cell_and_point_counts_reach_gl7_and_gl8():
     counts = stratum_point_counts(make_zip_datum(7, F2, (2, 3, 4, 5)))
     assert len(counts) == 42
     assert sum(c for _, c in counts) == gl_order(7, 2)
+
+
+def rank_grid_by_mat_rank(field, g, prefixes):
+    """The rank of every leading block, each from a fresh elimination."""
+    return [[mat_rank(field, tuple(row[:c] for row in g[:r])) for c in prefixes] for r in prefixes]
+
+
+def bruhat_cell_by_rank_grid(datum, g):
+    """The cell read off the mat_rank grid by block counts."""
+    prefixes = [0, *accumulate(len(cls) for cls in datum.classes)]
+    rank = rank_grid_by_mat_rank(datum.field, g, prefixes)
+    k = len(datum.classes)
+    counts = [
+        [rank[a + 1][b + 1] - rank[a][b + 1] - rank[a + 1][b] + rank[a][b] for b in range(k)]
+        for a in range(k)
+    ]
+    nu = _double_coset_min(counts, datum.classes, datum.classes)
+    return grouplab._element_of_perm(datum.weyl, nu)
+
+
+@pytest.mark.parametrize("n,field", [(3, F2), (2, F4)], ids=["GL3-F2", "GL2-F4"])
+def test_leading_block_ranks_and_cells_equal_the_mat_rank_grid(n, field):
+    points = gl_points(n, field)
+    every_matrix = [
+        tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        for flat in product(range(field.order), repeat=n * n)
+    ]
+    for I in _all_block_types(n):
+        d = make_zip_datum(n, field, I)
+        prefixes = [0, *accumulate(len(cls) for cls in d.classes)]
+        for g in every_matrix:
+            assert _leading_block_ranks(field, g, prefixes) == rank_grid_by_mat_rank(
+                field, g, prefixes
+            )
+        for g in points:
+            assert bruhat_cell(d, g) == bruhat_cell_by_rank_grid(d, g)
+    # every column and row prefix, singular matrices included
+    full = list(range(n + 1))
+    for g in every_matrix:
+        assert _leading_block_ranks(field, g, full) == rank_grid_by_mat_rank(field, g, full)
 
 
 def test_bruhat_cell_refuses_a_singular_matrix():

@@ -1,8 +1,10 @@
 """Tests for truncated Witt rings and the higher-level display action."""
 
+import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import zipstrata
-from zipstrata.ffield import get_field, mat_inv, mat_mul, smallest_irreducible
+from zipstrata import witt
+from zipstrata.ffield import get_field, is_prime, mat_inv, mat_mul, smallest_irreducible
 from zipstrata.grouplab import TooLarge, gl_points, make_zip_datum, zip_group_points
 from zipstrata.witt import (
     DisplayGroupElement,
@@ -152,6 +155,39 @@ def test_element_coefficients_are_validated():
         GaloisRingElement(GR16, (1,))
 
 
+def test_elements_are_immutable_and_hash_by_ring_and_coefficients():
+    x = GR16.element((1, 3))
+    with pytest.raises(AttributeError):
+        x.coeffs = (0, 0)
+    with pytest.raises(AttributeError):
+        x.ring = Z4
+    with pytest.raises(AttributeError):
+        del x.coeffs
+    assert x.coeffs == (1, 3) and x.ring is GR16
+    assert hash(x) == hash((x.ring, x.coeffs))
+    assert hash(GR16) == hash((GR16.p, GR16.d, GR16.m, GR16.modulus))
+    with pytest.raises(ValueError, match="length d"):
+        GaloisRingElement(GR16, (1, 2, 3))
+    assert GaloisRingElement(GR16, [5, -1]).coeffs == (1, 3)
+    GR16.zero, GR16.one  # cached on the ring, so pickling the ring pickles elements of it
+    assert pickle.loads(pickle.dumps(x)) == x and copy.copy(x) == x
+
+
+def test_elements_of_equal_rings_are_equal_and_of_other_rings_unequal():
+    twin = GaloisRing(GR16.p, GR16.d, GR16.m, GR16.modulus)
+    assert twin is not GR16 and twin == GR16 and hash(twin) == hash(GR16)
+    for coeffs in ((0, 0), (1, 0), (2, 3)):
+        x, y = GR16.element(coeffs), twin.element(coeffs)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+    assert Z4.from_int(1) != make_ring(2, 1, 3).from_int(1)
+    assert Z4.from_int(1) != make_ring(3, 1, 1).from_int(1)
+    assert GR16.one != GR16.element((0, 1))
+    for x in (Z4.zero, Z4.one, GR16.zero):
+        assert (x == 0) is False and (x != 0) is True
+        assert (x == x.coeffs) is False
+
+
 # ---------------------------------------------------------------------------
 # Frobenius and Verschiebung
 # ---------------------------------------------------------------------------
@@ -203,6 +239,44 @@ def test_frobenius_and_verschiebung_compose_to_multiplication_by_p():
             assert s == e
 
 
+def _rings_up_to(bound):
+    """(p, d, m) of every Galois ring W_m(F_{p**d}) with at most bound elements."""
+    for p in range(2, bound + 1):
+        if not is_prime(p):
+            continue
+        md, size = 1, p
+        while size <= bound:
+            yield from ((p, d, md // d) for d in range(1, md + 1) if md % d == 0)
+            md += 1
+            size *= p
+
+
+def test_verschiebung_table_equals_p_times_the_inverse_frobenius():
+    rings = checked = 0
+    for p, d, m in _rings_up_to(10_000):
+        if d < 2:
+            continue
+        ring = make_ring(p, d, m)
+        for e in ring.elements():
+            assert verschiebung(e) == frobenius_inv(e) * p
+            checked += 1
+        rings += 1
+    assert (rings, checked) == (70, 151_206)
+    # at d = 1 sigma is the identity and V is multiplication by p
+    assert witt._frobenius_tables(make_ring(7, 1, 2)) == (((1,),), ((1,),), ((7,),))
+
+
+def test_verschiebung_applies_its_table_without_multiplying(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verschiebung must read its own table")
+
+    monkeypatch.setattr(witt, "frobenius_inv", refuse)
+    monkeypatch.setattr(GaloisRingElement, "__mul__", refuse)
+    assert verschiebung(GR16.element((1, 1))) == GR16.element((0, 2))
+    assert verschiebung(Z4.one) == Z4.from_int(2)
+    assert verschiebung(make_ring(2, 3, 2).element((0, 1, 0))).coeffs == (0, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # the display group
 # ---------------------------------------------------------------------------
@@ -225,6 +299,52 @@ def test_display_constructor_rejects_non_unit_diagonal_blocks():
         )
     with pytest.raises(ValueError, match="entries in the ring"):
         DisplayGroupElement(Z4, 2, 1, ((1,),), ((Z4.zero,),), ((Z4.zero,),), ((Z4.one,),))
+
+
+def test_display_constructor_checks_the_ring_of_every_entry():
+    twin = GaloisRing(2, 1, 2, (0, 1))
+    z8 = make_ring(2, 1, 3)
+    with pytest.raises(ValueError, match="block A must have entries in the ring"):
+        DisplayGroupElement(Z4, 2, 1, ((GR16.one,),), ((Z4.zero,),), ((Z4.zero,),), ((Z4.one,),))
+    with pytest.raises(ValueError, match="block C must have entries in the ring"):
+        DisplayGroupElement(Z4, 2, 1, ((Z4.one,),), ((Z4.zero,),), ((z8.zero,),), ((Z4.one,),))
+    with pytest.raises(NotInGroup, match="invertible modulo p"):
+        DisplayGroupElement(Z4, 2, 2, ring_matrix(Z4, ((1, 1), (3, 1))), ((), ()), (), ())
+    with pytest.raises(NotInGroup, match="invertible modulo p"):
+        DisplayGroupElement(Z4, 2, 0, (), (), ((), ()), ring_matrix(Z4, ((2, 1), (0, 2))))
+    # entries of a value-equal ring are entries of the ring
+    x = DisplayGroupElement(Z4, 2, 1, ((twin.one,),), ((twin.zero,),), ((Z4.zero,),), ((Z4.one,),))
+    assert x == identity_display(Z4, 2, 1)
+
+
+def _checked_display_points(ring, n, d_block):
+    """The display group point by point through the checked constructor, blocks in coefficient order."""
+    cells = list(ring.elements())
+
+    def blocks(rows, cols, invertible=False):
+        out = (
+            tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))
+            for flat in itertools.product(cells, repeat=rows * cols)
+        )
+        return [b for b in out if not invertible or rmat_is_invertible(ring, b)]
+
+    db, rest = d_block, n - d_block
+    return tuple(
+        DisplayGroupElement(ring, n, d_block, a, b, c, d)
+        for a in blocks(db, db, True)
+        for d in blocks(rest, rest, True)
+        for b in blocks(db, rest)
+        for c in blocks(rest, db)
+    )
+
+
+@pytest.mark.parametrize("pdm", [(2, 1, 2), (3, 1, 2)], ids=["W_2(F_2)", "W_2(F_3)"])
+@pytest.mark.parametrize("d_block", [0, 1, 2])
+def test_display_group_points_equal_the_checked_constructions_in_order(pdm, d_block):
+    ring = make_ring(*pdm)
+    points = display_group_points(ring, 2, d_block)
+    assert points == _checked_display_points(ring, 2, d_block)
+    assert len(points) == display_group_order(ring, 2, d_block)
 
 
 def test_level_one_block_maps_are_the_zip_group_pair():
@@ -427,6 +547,59 @@ def test_reduction_at_level_one_is_trivially_clean():
     report = check_reduction(2, 2, 1, 1)
     assert report["orbits_m"] == report["orbits_1"] == 2
     assert report["violations"] == []
+
+
+def check_reduction_by_objects(n, p, d, m, d_block=1):
+    """The reduction check on ring elements: every point of every orbit reduced entry by entry."""
+    ring_m, ring_one = make_ring(p, d, m), make_ring(p, d, 1)
+    orbits_m = display_orbit_partition(ring_m, n, d_block)
+    orbits_one = display_orbit_partition(ring_one, n, d_block)
+    index_one = {z: k for k, orbit in enumerate(orbits_one) for z in orbit}
+
+    def reduce(z):
+        return tuple(
+            tuple(GaloisRingElement(ring_one, tuple(c % p for c in v.coeffs)) for v in row)
+            for row in z
+        )
+
+    violations = []
+    for orbit in orbits_m:
+        hit = {index_one[reduce(z)] for z in orbit}
+        if len(hit) != 1:
+            rep = min(orbit, key=lambda z: tuple(c for row in z for v in row for c in v.coeffs))
+            violations.append(
+                {"orbit_rep": [[list(v.coeffs) for v in row] for row in rep], "level_one_orbits": len(hit)}
+            )
+    return {
+        "params": {"n": n, "p": p, "d": d, "m": m, "d_block": d_block},
+        "orbits_m": len(orbits_m),
+        "orbits_1": len(orbits_one),
+        "violations": violations,
+    }
+
+
+@pytest.mark.parametrize("n,p,d,m", [(2, 2, 1, 2), (2, 2, 1, 3), (2, 3, 1, 2), (2, 2, 2, 2), (1, 3, 2, 2), (3, 2, 1, 1)])
+def test_reduction_on_codes_equals_the_reduction_on_ring_elements(n, p, d, m):
+    for d_block in range(n + 1):
+        assert check_reduction(n, p, d, m, d_block) == check_reduction_by_objects(n, p, d, m, d_block)
+
+
+def test_violations_on_codes_equal_those_on_ring_elements(monkeypatch):
+    # split every level-one orbit into single points, so that every level-m
+    # orbit with more than one point is reported
+    coded = witt._coded_orbits
+
+    def split_level_one(ring, n, d_block):
+        orbits = coded(ring, n, d_block)
+        if ring.m > 1:
+            return orbits
+        return [(z, {z}) for _, orbit in orbits for z in sorted(orbit)]
+
+    monkeypatch.setattr(witt, "_coded_orbits", split_level_one)
+    for n, p, d, m in [(2, 2, 1, 2), (1, 3, 2, 2), (1, 2, 3, 2)]:
+        report = check_reduction(n, p, d, m)
+        assert report["violations"]
+        assert report == check_reduction_by_objects(n, p, d, m)
 
 
 def test_census_guard_refuses_oversized_spaces():

@@ -12,6 +12,7 @@ import pytest
 
 import zipstrata
 from zipstrata.coxeter import (
+    InvariantError,
     bruhat_leq,
     bruhat_leq_subword,
     create_weyl,
@@ -50,6 +51,45 @@ from zipstrata.zipdatum import (
 # ---------------------------------------------------------------------------
 # datum construction
 # ---------------------------------------------------------------------------
+
+
+def test_delta_image_maps_windows_without_revalidating(monkeypatch):
+    from zipstrata import coxeter, zipdatum
+
+    data = [(create_weyl("D", 4), delta) for delta in diagram_automorphisms(create_weyl("D", 4))]
+    data += [(create_weyl("A", 3), (3, 2, 1)), (create_weyl("B", 3), (1, 2, 3))]
+
+    def image_by_products(group, delta, w):
+        out = group.identity()
+        for i in w.reduced_word():
+            out = out * group.simple_reflection(delta[i - 1])
+        return out
+
+    expected = {
+        (group, delta): [image_by_products(group, delta, w) for w in group.elements()]
+        for group, delta in data
+    }
+    zips = {(group, delta): build_zip(group, (), (), delta) for group, delta in data}
+
+    def refuse(*args):
+        raise AssertionError("delta was validated when the datum was built")
+
+    monkeypatch.setattr(coxeter, "validate_diagram_automorphism", refuse)
+    monkeypatch.setattr(zipdatum, "validate_diagram_automorphism", refuse)
+    for key, z in zips.items():
+        assert [z.delta_image(w) for w in key[0].elements()] == expected[key]
+        theta_inv = z.theta0.inverse()
+        for s in key[0].simple_reflections:
+            assert z.psi(s) == z.theta0 * z.delta_image(s) * theta_inv
+
+
+def test_delta_image_still_refuses_a_map_that_breaks_lengths():
+    # (1, 3, 2) is no diagram automorphism of A3: s1 s2 s1 would go to s1 s3 s1 = s3
+    group = create_weyl("A", 3)
+    z = build_zip(group, (), ())
+    bad = ZipCombinatorics(group, z.I, z.J, (1, 3, 2), z.theta0)
+    with pytest.raises(InvariantError, match="preserve length"):
+        bad.delta_image(element_from_word(group, (1, 2, 1)))
 
 
 def test_rank_two_twist_rejects_mismatched_target():
