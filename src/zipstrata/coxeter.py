@@ -16,9 +16,9 @@ cached on the element.  In types A, B and C that integer is the rank matrix
 with one guard bit each, so that entrywise dominance is a single
 subtraction against the group's guard mask, computed once and cached on the
 group.  In type D it is the element's Bruhat down-set as a bitmask over the
-positions in ``elements()``, built once per group by closing the covering
-relation; v <= w iff the down-set of v lies inside that of w.  The cached
-guard of a type D group is 0, which selects the down-set test.
+positions of the interval [e, w0], closed along its up-covers once per group;
+v <= w iff the down-set of v lies inside that of w.  The cached guard of a
+type D group is 0, which selects the down-set test.
 
 Hot paths (reduced words, coset representatives, words to elements) work on
 windows and build a validated ``WeylElement`` only for what they return.
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
+from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 ENUMERATION_GUARD = 2_000_000
@@ -71,14 +72,8 @@ class WeylGroup:
     def order(self) -> int:
         n = self.rank
         if self.family == "A":
-            out = 1
-            for k in range(2, n + 2):
-                out *= k
-            return out
-        out = 1
-        for k in range(2, n + 1):
-            out *= k
-        return out * 2 ** (n if self.family in ("B", "C") else n - 1)
+            return factorial(n + 1)
+        return factorial(n) * 2 ** (n if self.family in ("B", "C") else n - 1)
 
     @property
     def positive_root_count(self) -> int:
@@ -93,17 +88,9 @@ class WeylGroup:
         return WeylElement(self, tuple(range(1, self.npoints + 1)))
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        n, fam = self.rank, self.family
-        if not 1 <= i <= n:
+        if not 1 <= i <= self.rank:
             raise ValueError(f"simple index {i} out of range")
-        w = list(range(1, self.npoints + 1))
-        if fam == "A" or i < n:
-            w[i - 1], w[i] = w[i], w[i - 1]
-        elif fam in ("B", "C"):
-            w[n - 1] = -n
-        else:
-            w[n - 2], w[n - 1] = -n, -(n - 1)
-        return WeylElement(self, tuple(w))
+        return reflection_of_root(self, self.simple_root(i))
 
     @property
     def simple_reflections(self) -> tuple["WeylElement", ...]:
@@ -124,27 +111,20 @@ class WeylGroup:
         return tuple(root)
 
     def positive_roots(self) -> tuple[Root, ...]:
-        N = self.npoints
-        roots: list[Root] = []
+        N, fam = self.npoints, self.family
 
-        def vec(entries: dict[int, int]) -> Root:
+        def vec(*entries: tuple[int, int]) -> Root:
             v = [0] * N
-            for k, c in entries.items():
+            for k, c in entries:
                 v[k] = c
             return tuple(v)
 
-        if self.family == "A":
-            for i in range(N):
-                for j in range(i + 1, N):
-                    roots.append(vec({i: 1, j: -1}))
-            return tuple(roots)
-        if self.family in ("B", "C"):
-            for i in range(N):
-                roots.append(vec({i: 1}))
+        roots = [vec((i, 1)) for i in range(N)] if fam in ("B", "C") else []
         for i in range(N):
             for j in range(i + 1, N):
-                roots.append(vec({i: 1, j: -1}))
-                roots.append(vec({i: 1, j: 1}))
+                roots.append(vec((i, 1), (j, -1)))
+                if fam != "A":
+                    roots.append(vec((i, 1), (j, 1)))
         return tuple(roots)
 
     def cartan_entry(self, i: int, j: int) -> int:
@@ -174,9 +154,6 @@ class WeylGroup:
     def elements(self) -> tuple["WeylElement", ...]:
         return _all_elements(self)
 
-    def reflections(self) -> tuple["WeylElement", ...]:
-        return tuple(reflection_of_root(self, r) for r in self.positive_roots())
-
     @cached_property
     def _simple_windows(self) -> tuple[Window, ...]:
         """Windows of s_1, ..., s_rank."""
@@ -188,6 +165,18 @@ class WeylGroup:
         if self.family == "D":
             return 0
         return _rank_packing(self.npoints if self.family == "A" else 2 * self.rank)[2]
+
+    @cached_property
+    def _bruhat_downsets(self) -> tuple[dict[Window, int], list[int]]:
+        """Type D keys: the positions of [e, w0] and every element's down-set over them."""
+        if self.order > ENUMERATION_GUARD:
+            raise TooLarge("group too large to enumerate")
+        windows, index, up = _lower_interval(longest_element(self))
+        down = [1 << k for k in range(len(windows))]
+        for k, covers in enumerate(up):
+            for c in covers:
+                down[c] |= down[k]
+        return index, down
 
     def __repr__(self) -> str:
         return f"WeylGroup({self.family}{self.rank})"
@@ -271,7 +260,7 @@ def root_is_positive(root: Root) -> bool:
 
 def _compose(x: Sequence[int], y: Sequence[int]) -> Window:
     """Window of the product x * y (apply y first) of two signed windows."""
-    return tuple(x[v - 1] if v > 0 else -x[-v - 1] for v in y)
+    return tuple([x[v - 1] if v > 0 else -x[-v - 1] for v in y])
 
 
 def _inverse_window(window: Sequence[int]) -> Window:
@@ -387,18 +376,22 @@ def element_from_word(group: WeylGroup, word: Iterable[int]) -> WeylElement:
 
 
 def reflection_of_root(group: WeylGroup, root: Root) -> WeylElement:
-    support = [k for k, c in enumerate(root) if c]
+    i, j, s = _root_move(root)
     w = list(range(1, group.npoints + 1))
-    if len(support) == 1:
-        i = support[0]
-        w[i] = -(i + 1)
-    else:
-        i, j = support
-        if root[i] == -root[j]:
-            w[i], w[j] = j + 1, i + 1
-        else:
-            w[i], w[j] = -(j + 1), -(i + 1)
+    w[i], w[j] = s * (j + 1), s * (i + 1)
     return WeylElement(group, tuple(w))
+
+
+def _root_move(root: Root) -> tuple[int, int, int]:
+    """(i, j, s): v * t carries s * v(j) at position i and s * v(i) at j, t the reflection of root.
+
+    i <= j span the root's support and s = 1 exactly for +-(e_i - e_j).  For
+    a positive root, v * t is longer than v iff v(root) > 0, i.e. iff v(i)
+    does not come after s * v(j).
+    """
+    support = [k for k, c in enumerate(root) if c]
+    i, j = support[0], support[-1]
+    return i, j, 1 if root[i] == -root[j] else -1
 
 
 def simple_index_of(w: WeylElement) -> int | None:
@@ -470,15 +463,12 @@ def parabolic_order(group: WeylGroup, subset: "ParabolicType | Iterable[int]") -
     out = 1
     for comp in _dynkin_components(group, K.indices):
         k = len(comp)
-        fact = 1
-        for t in range(2, k + 2):
-            fact *= t
         if fam in ("B", "C") and n in comp:
-            out *= (fact // (k + 1)) * 2**k
+            out *= factorial(k) * 2**k
         elif fam == "D" and {n - 1, n} <= comp:
-            out *= (fact // (k + 1)) * 2 ** (k - 1)
+            out *= factorial(k) * 2 ** (k - 1)
         else:
-            out *= fact
+            out *= factorial(k + 1)
     return out
 
 
@@ -534,21 +524,16 @@ def longest_element(group: WeylGroup) -> WeylElement:
 
 
 def longest_element_parabolic(group: WeylGroup, subset: "ParabolicType | Iterable[int]") -> WeylElement:
-    """Longest element of W_K, grown by greedy ascent (no enumeration of W_K)."""
+    """Longest element of W_K, grown by greedy ascent on windows (no enumeration of W_K)."""
     K = ParabolicType.of(subset)
     K.validate(group)
-    ks = sorted(K.indices)
-    w = group.identity()
+    fam, gens, w = group.family, group._simple_windows, group.identity().window
     while True:
-        inv = w.inverse()
-        step = None
-        for i in ks:
-            if not is_right_descent(inv, i):
-                step = i
-                break
+        inv = _inverse_window(w)
+        step = next((i for i in sorted(K.indices) if not _window_descent(fam, inv, i)), None)
         if step is None:
-            return w
-        w = group.simple_reflection(step) * w
+            return WeylElement(group, w)
+        w = _compose(gens[step - 1], w)
 
 
 def has_left_descent_in(w: WeylElement, K: ParabolicType) -> bool:
@@ -601,6 +586,11 @@ def min_coset_reps(group: WeylGroup, subset: "ParabolicType | Iterable[int]") ->
     """The minimal length representatives of W_K \\ W, sorted by (length, word)."""
     K = ParabolicType.of(subset)
     K.validate(group)
+    return _min_coset_reps(group, K)
+
+
+@lru_cache(maxsize=None)
+def _min_coset_reps(group: WeylGroup, K: ParabolicType) -> tuple[WeylElement, ...]:
     if group.family == "A":
         reps = _min_reps_type_a(group, K)
     else:
@@ -619,28 +609,20 @@ def min_double_coset_rep(
     Each step strictly shortens the element, so the walk terminates at the
     unique minimum of the double coset without enumerating either parabolic.
     """
-    K = ParabolicType.of(left)
-    K2 = ParabolicType.of(right)
+    K, K2 = ParabolicType.of(left), ParabolicType.of(right)
     K.validate(group)
     K2.validate(group)
-    cur = w
+    fam, gens, cur = group.family, group._simple_windows, w.window
     while True:
-        inv = cur.inverse()
-        step = None
-        for i in sorted(K.indices):
-            if is_right_descent(inv, i):
-                step = ("L", i)
-                break
-        if step is None:
-            for j in sorted(K2.indices):
-                if is_right_descent(cur, j):
-                    step = ("R", j)
-                    break
-        if step is None:
-            return cur
-        side, i = step
-        s = group.simple_reflection(i)
-        cur = s * cur if side == "L" else cur * s
+        inv = _inverse_window(cur)
+        i = next((i for i in sorted(K.indices) if _window_descent(fam, inv, i)), None)
+        if i is not None:
+            cur = _compose(gens[i - 1], cur)
+            continue
+        j = next((j for j in sorted(K2.indices) if _window_descent(fam, cur, j)), None)
+        if j is None:
+            return WeylElement(group, cur)
+        cur = _compose(cur, gens[j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -695,35 +677,11 @@ def _doubled_window(window: Sequence[int]) -> Window:
     return tuple(first) + tuple(top - f for f in reversed(first))
 
 
-@lru_cache(maxsize=None)
-def _bruhat_downsets_d(group: WeylGroup) -> tuple[dict[Window, int], tuple[int, ...]]:
-    """Position of every window in ``elements()`` and every element's down-set.
-
-    A down-set is a bitmask over those positions: the element itself plus the
-    down-sets of the elements it covers, i.e. t * v with t a reflection and
-    one less in length.  Elements are sorted by length, so each cover is
-    closed before the elements above it.
-    """
-    elements = _all_elements(group)
-    index = {w.window: k for k, w in enumerate(elements)}
-    lengths = [w.length for w in elements]
-    reflections = [t.window for t in group.reflections()]
-    down: list[int] = []
-    for k, v in enumerate(elements):
-        acc = 1 << k
-        for t in reflections:
-            u = index[_compose(t, v.window)]
-            if lengths[u] == lengths[k] - 1:
-                acc |= down[u]
-        down.append(acc)
-    return index, tuple(down)
-
-
 def _window_bruhat_key(group: WeylGroup, window: Sequence[int]) -> int:
     if group.family == "A":
         return _rank_key(window)
     if group.family == "D":
-        index, down = _bruhat_downsets_d(group)
+        index, down = group._bruhat_downsets
         return down[index[tuple(window)]]
     return _rank_key(_doubled_window(window))
 
@@ -739,34 +697,39 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return ((w._bruhat_key | guard) - v._bruhat_key) & guard == guard
 
 
-def bruhat_up_mask(
-    group: WeylGroup, lows: Iterable[Sequence[int]], highs: Sequence[WeylElement]
-) -> int:
-    """Bitmask of the positions j such that some window in lows is Bruhat-below highs[j].
+@lru_cache(maxsize=None)
+def _lower_interval(top: WeylElement) -> tuple[tuple[Window, ...], dict[Window, int], tuple[tuple[int, ...], ...]]:
+    """The Bruhat interval [e, top]: its windows by length, their positions and up-covers.
 
-    In types A, B and C each key of lows is tested against each key of
-    highs.  In type D the lows become one mask of their positions, and
-    highs[j] qualifies iff its down-set meets that mask.
+    The interval is the set of subwords of a reduced word of top, grown one
+    letter at a time; appending s_i lowers the length by one when s_i is a
+    right descent and raises it by one otherwise.  The up-covers of v are the
+    v * t, t a reflection, that lie in the interval and are one longer.
     """
-    mask = 0
-    guard = group._bruhat_guard
-    if not guard:
-        index, _ = _bruhat_downsets_d(group)
-        positions = 0
-        for t in lows:
-            positions |= 1 << index[tuple(t)]
-        for j, w in enumerate(highs):
-            if w._bruhat_key & positions:
-                mask |= 1 << j
-        return mask
-    low_keys = {_window_bruhat_key(group, t) for t in lows}
-    for j, w in enumerate(highs):
-        high = w._bruhat_key | guard
-        for low in low_keys:
-            if (high - low) & guard == guard:
-                mask |= 1 << j
-                break
-    return mask
+    group = top.group
+    lengths = {tuple(range(1, group.npoints + 1)): 0}
+    for letter in top.reduced_word():
+        i, j, s = _root_move(group.simple_root(letter))
+        for v, l in list(lengths.items()):
+            vs = list(v)
+            vs[i], vs[j] = s * v[j], s * v[i]
+            lengths.setdefault(tuple(vs), l - 1 if _after(v[i], s * v[j]) else l + 1)
+    windows = tuple(sorted(lengths, key=lengths.__getitem__))
+    index = {v: k for k, v in enumerate(windows)}
+    moves = [_root_move(root) for root in group.positive_roots()]
+    level = [lengths[v] for v in windows]
+    up = []
+    for v, l in zip(windows, level):
+        covers = []
+        for i, j, s in moves:
+            if not _after(v[i], s * v[j]):
+                vt = list(v)
+                vt[i], vt[j] = s * v[j], s * v[i]
+                k = index.get(tuple(vt))
+                if k is not None and level[k] == l + 1:
+                    covers.append(k)
+        up.append(tuple(covers))
+    return windows, index, tuple(up)
 
 
 @lru_cache(maxsize=None)

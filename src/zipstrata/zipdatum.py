@@ -15,8 +15,9 @@ marks the order as omitted while still exposing the carrier and dimensions.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .coxeter import (
@@ -27,7 +28,8 @@ from .coxeter import (
     WeylGroup,
     _compose,
     _diagram_image,
-    bruhat_up_mask,
+    _lower_interval,
+    bruhat_leq,
     element_from_word,
     has_left_descent_in,
     longest_element,
@@ -158,15 +160,33 @@ def _twist_pairs(z: ZipCombinatorics) -> tuple[tuple[Window, Window], ...]:
     return tuple(pairs.items())
 
 
-def _twisted_row(z: ZipCombinatorics, w_prime: WeylElement, highs: Sequence[WeylElement]) -> int:
-    """Bitmask of the positions j with w_prime <= highs[j] in the twisted order.
+def _twisted_rows(z: ZipCombinatorics, carrier: Sequence[WeylElement]) -> list[int]:
+    """Bit rows of the twisted order: bit j of row i iff carrier[i] <= carrier[j].
 
-    The translates u * w_prime * psi(u)**-1 are formed once, as windows, and
-    tested against every element of highs together.
+    Every label lies in the Bruhat interval [e, top] of the longest label, so
+    the labels above each window of the interval are propagated once, from
+    the longest window down, along its up-covers.  Row i is the union of
+    those sets over the translates u * carrier[i] * psi(u)**-1 inside the
+    interval; a translate outside it lies below no label.
     """
-    wp = w_prime.window
-    translates = {_compose(_compose(u, wp), pu_inv) for u, pu_inv in _twist_pairs(z)}
-    return bruhat_up_mask(z.group, translates, highs)
+    windows, index, up = _lower_interval(max(carrier, key=lambda w: w.length))
+    slot = {w.window: j for j, w in enumerate(carrier)}
+    ups = [0] * len(windows)
+    for k in range(len(windows) - 1, -1, -1):
+        mask = 1 << slot[windows[k]] if windows[k] in slot else 0
+        for c in up[k]:
+            mask |= ups[c]
+        ups[k] = mask
+    pairs = _twist_pairs(z)
+    rows = []
+    for w in carrier:
+        row = 0
+        for u, p in pairs:
+            k = index.get(_compose(_compose(u, w.window), p))
+            if k is not None:
+                row |= ups[k]
+        rows.append(row)
+    return rows
 
 
 def _require_carrier_element(z: ZipCombinatorics, w: WeylElement) -> None:
@@ -182,20 +202,34 @@ def twisted_leq(z: ZipCombinatorics, w_prime: WeylElement, w: WeylElement) -> bo
     _require_carrier_element(z, w)
     if parabolic_order(z.group, z.I) > LEVI_ENUMERATION_GUARD:
         raise ValueError("Levi group too large to scan; the order is not available")
-    return _twisted_row(z, w_prime, (w,)) == 1
+    group, wp = z.group, w_prime.window
+    return any(
+        bruhat_leq(WeylElement(group, _compose(_compose(u, wp), p)), w) for u, p in _twist_pairs(z)
+    )
 
 
 @dataclass(frozen=True)
 class StratumPoset:
-    """Stratum labels with lengths, dimensions and (when available) the order."""
+    """Stratum labels with lengths, dimensions and (when available) the order.
+
+    The order is kept as bit rows: bit j of rows[i] iff carrier[i] <= carrier[j].
+    """
 
     zip_data: ZipCombinatorics
     carrier: tuple[WeylElement, ...]
-    leq: Optional[tuple[tuple[bool, ...], ...]]
+    rows: Optional[tuple[int, ...]]
     length_of: tuple[int, ...]
     dim_of: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
     order_complete: bool
+
+    @cached_property
+    def leq(self) -> Optional[tuple[tuple[bool, ...], ...]]:
+        """The order as booleans, leq[i][j] iff carrier[i] <= carrier[j]; None when omitted."""
+        if self.rows is None:
+            return None
+        width = f"0{len(self.carrier)}b"
+        return tuple(tuple(map("1".__eq__, format(m, width)[::-1])) for m in self.rows)
 
     def index_of(self, w: WeylElement) -> int:
         try:
@@ -203,14 +237,14 @@ class StratumPoset:
         except ValueError:
             raise ValueError(f"{w!r} is not a stratum label of this datum") from None
 
-    def _need_order(self) -> tuple[tuple[bool, ...], ...]:
-        """The order relation leq, or ValueError when it was omitted."""
-        if not self.order_complete or self.leq is None:
+    def _need_order(self) -> tuple[int, ...]:
+        """The bit rows of the order, or ValueError when it was omitted."""
+        if not self.order_complete or self.rows is None:
             raise ValueError("the order was omitted for this datum (Levi too large)")
-        return self.leq
+        return self.rows
 
     def leq_elements(self, w_prime: WeylElement, w: WeylElement) -> bool:
-        return self._need_order()[self.index_of(w_prime)][self.index_of(w)]
+        return self._need_order()[self.index_of(w_prime)] >> self.index_of(w) & 1 == 1
 
 
 def dim_parabolic(z: ZipCombinatorics) -> int:
@@ -235,20 +269,8 @@ def stratum_poset(z: ZipCombinatorics) -> StratumPoset:
     dims = tuple(base + l for l in lengths)
     if parabolic_order(z.group, z.I) > LEVI_ENUMERATION_GUARD:
         return StratumPoset(z, carrier, None, lengths, dims, (), False)
-    rows = [_twisted_row(z, wp, carrier) for wp in carrier]
-    covers = _validate_order(lengths, rows)
-    leq = _bool_rows(rows, len(carrier))
-    return StratumPoset(z, carrier, leq, lengths, dims, covers, True)
-
-
-def _bit_rows(leq: Sequence[Sequence[bool]]) -> list[int]:
-    """Row i of a boolean relation as a bitmask: bit j is leq[i][j]."""
-    return [int("".join(map("01".__getitem__, reversed(row))), 2) for row in leq]
-
-
-def _bool_rows(rows: Sequence[int], n: int) -> tuple[tuple[bool, ...], ...]:
-    """Inverse of _bit_rows for a relation on n points."""
-    return tuple(tuple(map("1".__eq__, format(m, f"0{n}b")[::-1])) for m in rows)
+    rows = tuple(_twisted_rows(z, carrier))
+    return StratumPoset(z, carrier, rows, lengths, dims, _validate_order(lengths, rows), True)
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -261,34 +283,53 @@ def _bits(mask: int) -> Iterable[int]:
 def _validate_order(lengths: Sequence[int], rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Check that bit rows (bit j of rows[i] iff i <= j) form a bounded partial order.
 
-    Returns the covers, as _covers_from_leq would: the elements strictly
-    above i that lie strictly above no other element above i, collected in
-    the same pass as the transitivity check.
+    The labels must be sorted by length.  They are checked from the longest
+    down, so every label above i has passed when i is reached.  If all of
+    those are longer than i, the lowest one still above i is a cover of i:
+    stripping its row and repeating yields the covers, and the order is
+    transitive at i when the union of their rows lies in row i.  A label
+    failing this fails the per-pair checks of _label_fault as well; these
+    then run from the lowest label up, so the message is that of the lowest
+    label at fault.  Returns the covers (i, j), sorted.
     """
     n = len(rows)
-    has_lower = 0
+    if any(a > b for a, b in zip(lengths, lengths[1:])):
+        raise InvariantError("stratum labels must be sorted by length")
     covers = []
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        if not row & bit:
-            raise InvariantError("order must be reflexive")
-        above = row ^ bit
-        dominated = 0
-        for j in _bits(above):
-            if rows[j] & bit:
-                raise InvariantError("order must be antisymmetric")
-            if lengths[i] >= lengths[j]:
-                raise InvariantError("order must refine length")
-            dominated |= rows[j] & ~(1 << j)
-        if dominated & ~row:
-            raise InvariantError("order must be transitive")
-        covers.extend((i, j) for j in _bits(above & ~dominated))
+    has_lower = 0
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        above = row & ~(1 << i)
+        valid = row >> i & 1 and not above & ((1 << bisect_right(lengths, lengths[i])) - 1)
+        reach, rest = 0, above
+        while valid and rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((i, j))
+            reach |= rows[j]
+            rest &= ~rows[j]
+        if not valid or reach & ~row:
+            raise InvariantError(next(filter(None, (_label_fault(lengths, rows, k) for k in range(i + 1)))))
         has_lower |= above
     if has_lower.bit_count() != n - 1:
         raise InvariantError("twisted order must have a unique minimum")
     if sum(1 for row in rows if row.bit_count() == 1) != 1:
         raise InvariantError("twisted order must have a unique maximum")
-    return tuple(covers)
+    return tuple(sorted(covers))
+
+
+def _label_fault(lengths: Sequence[int], rows: Sequence[int], i: int) -> Optional[str]:
+    """The first check that label i fails, pair by pair over the labels above it, or None."""
+    row, bit = rows[i], 1 << i
+    if not row & bit:
+        return "order must be reflexive"
+    dominated = 0
+    for j in _bits(row ^ bit):
+        if rows[j] & bit:
+            return "order must be antisymmetric"
+        if lengths[i] >= lengths[j]:
+            return "order must refine length"
+        dominated |= rows[j] & ~(1 << j)
+    return "order must be transitive" if dominated & ~row else None
 
 
 def _covers_from_leq(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -310,9 +351,9 @@ def _covers_from_leq(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
 def closure(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylElement]:
     """All stratum labels weakly below w in the twisted order."""
     poset = stratum_poset(z)
-    leq = poset._need_order()
+    rows = poset._need_order()
     j = poset.index_of(w)
-    return frozenset(poset.carrier[i] for i in range(len(poset.carrier)) if leq[i][j])
+    return frozenset(poset.carrier[i] for i, row in enumerate(rows) if row >> j & 1)
 
 
 def boundary_maximal(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylElement]:
@@ -359,7 +400,7 @@ def purity_check_poset(poset: StratumPoset) -> PurityReport:
     The covers are derived again from the relation, which a replayed file
     may make cyclic or redundant.
     """
-    return _purity_report(poset, _covers_from_leq(_bit_rows(poset._need_order())))
+    return _purity_report(poset, _covers_from_leq(poset._need_order()))
 
 
 def _purity_report(poset: StratumPoset, covers: Iterable[tuple[int, int]]) -> PurityReport:
@@ -398,8 +439,7 @@ def galois_quotient(
     directions; the induced relation on orbits is checked to be antisymmetric.
     """
     poset = stratum_poset(z)
-    leq = poset._need_order()
-    carrier = poset.carrier
+    rows, carrier = poset._need_order(), poset.carrier
     if callable(frobenius_action) and not isinstance(frobenius_action, Mapping):
         act = {w: frobenius_action(w) for w in carrier}
     else:
@@ -410,10 +450,8 @@ def galois_quotient(
         raise ValueError("action must permute the stratum labels")
     index = {w: k for k, w in enumerate(carrier)}
     perm = [index[act[w]] for w in carrier]
-    for i in range(len(carrier)):
-        for j in range(len(carrier)):
-            if leq[i][j] != leq[perm[i]][perm[j]]:
-                raise ValueError("action does not preserve the twisted order")
+    if any(sum(1 << perm[j] for j in _bits(row)) != rows[perm[i]] for i, row in enumerate(rows)):
+        raise ValueError("action does not preserve the twisted order")
     seen = set()
     orbits: list[tuple[WeylElement, ...]] = []
     for start in range(len(carrier)):
@@ -430,18 +468,14 @@ def galois_quotient(
         cyc = cyc[anchor:] + cyc[:anchor]
         orbits.append(tuple(carrier[i] for i in cyc))
     orbits.sort(key=lambda orb: (orb[0].length, orb[0].window))
-    induced = []
-    for oa in orbits:
-        row = []
-        for ob in orbits:
-            row.append(
-                any(leq[index[a]][index[b]] for a in oa for b in ob)
-            )
-        induced.append(tuple(row))
-    for a in range(len(orbits)):
-        for b in range(len(orbits)):
-            if a != b and induced[a][b] and induced[b][a]:
-                raise ValueError("induced relation on orbits is not antisymmetric")
+    masks, ups = [0] * len(orbits), [0] * len(orbits)
+    for a, orb in enumerate(orbits):
+        for w in orb:
+            masks[a] |= 1 << index[w]
+            ups[a] |= rows[index[w]]
+    induced = tuple(tuple(bool(up & mask) for mask in masks) for up in ups)
+    if any(induced[a][b] and induced[b][a] for a in range(len(orbits)) for b in range(a)):
+        raise ValueError("induced relation on orbits is not antisymmetric")
     return GaloisQuotient(tuple(orbits), tuple(induced))
 
 
@@ -536,13 +570,12 @@ def import_poset(text: str) -> StratumPoset:
             raise ValueError(f"cover ({a}, {b}) names a stratum outside 0..{n - 1}")
     if obj.get("order") != ORDER_COMPLETE:
         return StratumPoset(z, carrier, None, lengths, dims, (), False)
-    reach = [1 << j for j in range(n)]
+    rows = [1 << a for a in range(n)]
     changed = True
     while changed:
         changed = False
-        for a, b in covers:
-            if reach[a] | reach[b] != reach[b]:
-                reach[b] |= reach[a]
+        for a, b in reversed(covers):
+            if rows[a] | rows[b] != rows[a]:
+                rows[a] |= rows[b]
                 changed = True
-    leq = tuple(zip(*_bool_rows(reach, n)))
-    return StratumPoset(z, carrier, leq, lengths, dims, covers, True)
+    return StratumPoset(z, carrier, tuple(rows), lengths, dims, covers, True)

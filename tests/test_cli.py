@@ -155,6 +155,13 @@ def test_purity_check_passes_for_every_gl4_block_type(capsys):
         assert "result: PASS" in out
 
 
+def test_purity_check_on_the_gl8_2_2_2_2_datum_reports_2520_strata(capsys):
+    code, out, _ = run(capsys, "purity-check", "--group", "GL", "--n", "8", "--blocks", "2,2,2,2")
+    assert code == 0
+    assert "strata checked: 2520" in out
+    assert "result: PASS" in out
+
+
 def test_purity_check_passes_for_every_b3_parabolic_type(capsys):
     subsets = ["", "1", "2", "3", "1,2", "1,3", "2,3", "1,2,3"]
     for I in subsets:

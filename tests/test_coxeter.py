@@ -276,6 +276,9 @@ def test_oversized_enumerations_raise_too_large():
         parabolic_elements(create_weyl("A", 10), range(1, 11))
     with pytest.raises(TooLarge, match="group too large"):
         create_weyl("B", 9).elements()
+    d9 = create_weyl("D", 9)
+    with pytest.raises(TooLarge, match="group too large"):
+        bruhat_leq(d9.identity(), d9.simple_reflection(1))
 
 
 def _factorial(n):

@@ -13,6 +13,9 @@ import pytest
 import zipstrata
 from zipstrata.coxeter import (
     InvariantError,
+    _compose,
+    _lower_interval,
+    _window_bruhat_key,
     bruhat_leq,
     bruhat_leq_subword,
     create_weyl,
@@ -25,9 +28,11 @@ from zipstrata.coxeter import (
     word_string,
 )
 from zipstrata.zipdatum import (
-    _bit_rows,
+    _bits,
     _covers_from_leq,
     _twist_pairs,
+    _twisted_rows,
+    _validate_order,
     PsiMismatch,
     PurityReport,
     PurityViolation,
@@ -212,7 +217,142 @@ def test_twist_pairs_grown_from_generators_match_psi_on_every_element():
 def test_covers_found_during_the_order_check_match_the_derived_covers():
     for z in _small_and_larger_data():
         poset = stratum_poset(z)
-        assert poset.covers == _covers_from_leq(_bit_rows(poset.leq)), (z.group, z.I, z.delta)
+        assert poset.covers == _covers_from_leq(poset.rows), (z.group, z.I, z.delta)
+
+
+def _rank_key_rows(z, carrier):
+    """Bit rows by testing the Bruhat key of every translate against that of every label."""
+    group, guard = z.group, z.group._bruhat_guard
+    rows = []
+    for wp in carrier:
+        lows = {_window_bruhat_key(group, _compose(_compose(u, wp.window), p)) for u, p in _twist_pairs(z)}
+        row = 0
+        for j, w in enumerate(carrier):
+            high = w._bruhat_key
+            if any(((high | guard) - low) & guard == guard if guard else not low & ~high for low in lows):
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
+GL6_TYPES = [I for k in range(6) for I in combinations(range(1, 6), k)]
+
+
+@pytest.mark.parametrize("delta", [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)])
+def test_rows_from_the_interval_match_the_rank_key_scan_on_every_gl6_block_type(delta):
+    A5 = create_weyl("A", 5)
+    for I in GL6_TYPES:
+        z = zip_from_cocharacter(A5, I, delta, gl_center=True)
+        carrier = min_coset_reps(A5, I)
+        assert _twisted_rows(z, carrier) == _rank_key_rows(z, carrier), (I, delta)
+
+
+@pytest.mark.parametrize("family,rank,I", LARGER_DATA)
+def test_rows_from_the_interval_match_the_rank_key_scan_in_rank_four_and_five(family, rank, I):
+    z = zip_from_cocharacter(create_weyl(family, rank), I)
+    carrier = min_coset_reps(z.group, z.I)
+    assert _twisted_rows(z, carrier) == _rank_key_rows(z, carrier)
+
+
+def _validate_order_by_relations(lengths, rows):
+    """The order checks and covers by visiting every relation, lowest label first."""
+    n = len(rows)
+    has_lower = 0
+    covers = []
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        if not row & bit:
+            raise InvariantError("order must be reflexive")
+        above = row ^ bit
+        dominated = 0
+        for j in _bits(above):
+            if rows[j] & bit:
+                raise InvariantError("order must be antisymmetric")
+            if lengths[i] >= lengths[j]:
+                raise InvariantError("order must refine length")
+            dominated |= rows[j] & ~(1 << j)
+        if dominated & ~row:
+            raise InvariantError("order must be transitive")
+        covers.extend((i, j) for j in _bits(above & ~dominated))
+        has_lower |= above
+    if has_lower.bit_count() != n - 1:
+        raise InvariantError("twisted order must have a unique minimum")
+    if sum(1 for row in rows if row.bit_count() == 1) != 1:
+        raise InvariantError("twisted order must have a unique maximum")
+    return tuple(covers)
+
+
+def _check_outcome(check, lengths, rows):
+    try:
+        return check(lengths, rows)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def _sweep_data():
+    """The data of the strata benchmark's purity sweep."""
+    for family, rank in SMALL_GROUPS + [("A", 4)]:
+        yield from _all_cocharacter_data(family, rank)
+    D4 = create_weyl("D", 4)
+    for delta in diagram_automorphisms(D4):
+        yield zip_from_cocharacter(D4, (), delta)
+
+
+def test_cover_walk_gives_the_relation_walks_covers_on_every_sweep_datum():
+    data = list(_sweep_data())
+    assert len(data) == 116
+    for z in data:
+        poset = stratum_poset(z)
+        covers = _validate_order_by_relations(poset.length_of, poset.rows)
+        assert _validate_order(poset.length_of, poset.rows) == covers == poset.covers
+
+
+def test_cover_walk_raises_what_the_relation_walk_raises_on_every_single_bit_flip():
+    seen = set()
+    for family, rank, I in [("A", 2, ()), ("A", 3, ()), ("B", 3, (1,)), ("C", 3, (3,)), ("D", 4, (1, 2))]:
+        poset = stratum_poset(zip_from_cocharacter(create_weyl(family, rank), I))
+        lengths, n = poset.length_of, len(poset.carrier)
+        for i in range(n):
+            for j in range(n):
+                rows = list(poset.rows)
+                rows[i] ^= 1 << j
+                got = _check_outcome(_validate_order, lengths, rows)
+                assert got == _check_outcome(_validate_order_by_relations, lengths, rows), (family, I, i, j)
+                seen.add(got if isinstance(got, str) else "valid")
+    assert seen == {
+        "valid",
+        "order must be reflexive",
+        "order must be antisymmetric",
+        "order must refine length",
+        "order must be transitive",
+        "twisted order must have a unique minimum",
+        "twisted order must have a unique maximum",
+    }
+
+
+def test_cover_walk_refuses_labels_out_of_length_order():
+    with pytest.raises(InvariantError, match="sorted by length"):
+        _validate_order((0, 2, 1, 3), (0b1111, 0b1010, 0b1100, 0b1000))
+
+
+def test_the_interval_of_the_gl8_7_1_datum_has_two_to_the_seventh_windows():
+    carrier = min_coset_reps(create_weyl("A", 7), range(1, 7))
+    assert len(carrier) == 8
+    assert len(_lower_interval(carrier[-1])[0]) == 2**7
+
+
+def test_type_a_posets_never_enumerate_the_whole_group(monkeypatch):
+    from zipstrata import coxeter, zipdatum
+
+    def refuse(group):
+        raise AssertionError("the whole group was enumerated")
+
+    monkeypatch.setattr(coxeter, "_all_elements", refuse)
+    for cached in (zipdatum.stratum_poset, coxeter._min_coset_reps, coxeter._lower_interval):
+        cached.cache_clear()
+    z = zip_from_cocharacter(create_weyl("A", 7), range(1, 7), gl_center=True)
+    assert len(stratum_poset(z).carrier) == 8
+    assert purity_check(z).passed
 
 
 @pytest.mark.parametrize("family,rank", SMALL_GROUPS)
@@ -424,12 +564,22 @@ def test_order_checks_survive_python_minus_o():
         from zipstrata import zipdatum
         from zipstrata.coxeter import create_weyl
         assert False, "asserts must be off"
-        # every label below every other: reflexive, but not antisymmetric
-        zipdatum._twisted_row = lambda z, w_prime, highs: (1 << len(highs)) - 1
-        try:
-            zipdatum.stratum_poset(zipdatum.zip_from_cocharacter(create_weyl("A", 2), ()))
-        except zipdatum.InvariantError as exc:
-            print("InvariantError:", exc)
+        # Bruhat order on e, s1, s2, s1*s2, s2*s1, w0 as bit rows
+        bruhat = [0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000]
+        cases = [
+            # every label below every other: reflexive, but not antisymmetric
+            lambda z, carrier: [(1 << len(carrier)) - 1] * len(carrier),
+            # e below s1 and s2 but not below w0
+            lambda z, carrier: [bruhat[0] ^ 0b100000] + bruhat[1:],
+            # s1 below s2, which has the same length
+            lambda z, carrier: [bruhat[0], bruhat[1] | 0b100] + bruhat[2:],
+        ]
+        for rows in cases:
+            zipdatum._twisted_rows = rows
+            try:
+                zipdatum.stratum_poset(zipdatum.zip_from_cocharacter(create_weyl("A", 2), ()))
+            except zipdatum.InvariantError as exc:
+                print("InvariantError:", exc)
         """
     )
     src = str(Path(zipstrata.__file__).resolve().parents[1])
@@ -438,7 +588,11 @@ def test_order_checks_survive_python_minus_o():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "InvariantError: order must be antisymmetric"
+    assert result.stdout.splitlines() == [
+        "InvariantError: order must be antisymmetric",
+        "InvariantError: order must be transitive",
+        "InvariantError: order must refine length",
+    ]
 
 
 # ---------------------------------------------------------------------------
