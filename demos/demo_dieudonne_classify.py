@@ -10,13 +10,13 @@ Both induce weight-{0,1} data with one-dimensional graded pieces, so the
 ambient poset has exactly two strata.  Classification pins the ordinary
 pair to the open stratum and the supersingular pair to the closed one,
 and the labels survive translation by random symmetry-group elements
-over extension fields.
+over extension fields, each a product of random generators of the group.
 """
 
 import random
 
 from zipstrata.coxeter import word_string
-from zipstrata.ffield import get_field, mat_inv, mat_mul
+from zipstrata.ffield import get_field, mat_identity, mat_inv, mat_mul
 from zipstrata.fzip import (
     attached_group_element,
     classify,
@@ -25,7 +25,7 @@ from zipstrata.fzip import (
     fzip_from_group_element,
     fzip_type,
 )
-from zipstrata.grouplab import make_zip_datum, zip_group_points
+from zipstrata.grouplab import make_zip_datum, zip_generators
 
 pairs = {
     "ordinary": (((1, 0), (0, 0)), ((0, 0), (0, 1))),
@@ -34,7 +34,7 @@ pairs = {
 
 base = get_field(2, 1)
 datum = make_zip_datum(2, base, ())
-pools = {s: zip_group_points(datum, s) for s in (1, 2, 3)}
+gens = {s: zip_generators(datum, s) for s in (1, 2, 3)}
 rng = random.Random(7)
 
 for name, (F_mat, V_mat) in pairs.items():
@@ -50,8 +50,11 @@ for name, (F_mat, V_mat) in pairs.items():
     stable = 0
     for _ in range(25):
         s = rng.choice((1, 2, 3))
-        pp, pmat = rng.choice(pools[s])
         ff = get_field(2, s)
+        pp = pmat = mat_identity(2)
+        for _ in range(8):
+            gp, gq = rng.choice(gens[s])
+            pp, pmat = mat_mul(ff, pp, gp), mat_mul(ff, pmat, gq)
         embed = ff.embedding_from(base)
         ge = tuple(tuple(embed[v] for v in row) for row in g)
         moved = mat_mul(ff, mat_mul(ff, pp, ge), mat_inv(ff, pmat))

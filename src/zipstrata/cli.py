@@ -24,16 +24,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .coxeter import create_weyl, longest_element, word_string
+from .coxeter import InvariantError, create_weyl, longest_element, word_string
 from .ffield import get_field, is_prime, prime_power
 from .fzip import classify, enumerate_strata, fzip_from_json, fzip_type
-from .grouplab import (
-    InvariantError,
-    counterexample_gl2,
-    make_zip_datum,
-    zip_group_order,
-    zip_orbit_census,
-)
+from .grouplab import counterexample_gl2, make_zip_datum, zip_group_order, zip_orbit_census
 from .witt import check_reduction, orbit_census_level
 from .zipdatum import (
     PsiMismatch,

@@ -8,10 +8,9 @@ signed-permutation formulas: with the values ordered 1 < 2 < ... < N < -N <
 after w(j), e_i + e_j iff w(i) comes after -w(j), and e_i iff w(i) < 0.  The
 test suite checks these against the action on roots.
 
-Bruhat order comes in two independent implementations that the test suite
-plays against each other: a direct criterion and the subword
-characterisation.  The direct criterion compares one integer per element,
-cached on the element.  In types A, B and C that integer is the rank matrix
+Bruhat order compares one integer per element, cached on the element; the
+test suite plays it against the subword characterisation, kept there as the
+oracle.  In types A, B and C that integer is the rank matrix
 (of the doubled permutation in types B and C) packed into fixed-width fields
 with one guard bit each, so that entrywise dominance is a single
 subtraction against the group's guard mask, computed once and cached on the
@@ -249,13 +248,6 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"W({self.group.family}{self.group.rank}:{','.join(map(str, self.window))})"
-
-
-def root_is_positive(root: Root) -> bool:
-    for c in root:
-        if c:
-            return c > 0
-    raise ValueError("zero vector is not a root")
 
 
 def _compose(x: Sequence[int], y: Sequence[int]) -> Window:
@@ -730,22 +722,6 @@ def _lower_interval(top: WeylElement) -> tuple[tuple[Window, ...], dict[Window, 
                     covers.append(k)
         up.append(tuple(covers))
     return windows, index, tuple(up)
-
-
-@lru_cache(maxsize=None)
-def _bruhat_interval(w: WeylElement) -> frozenset[WeylElement]:
-    out = {w.group.identity()}
-    for i in w.reduced_word():
-        s = w.group.simple_reflection(i)
-        out |= {x * s for x in out}
-    return frozenset(out)
-
-
-def bruhat_leq_subword(v: WeylElement, w: WeylElement) -> bool:
-    """Subword characterisation of Bruhat order; oracle for bruhat_leq."""
-    if v.group != w.group:
-        raise ValueError("elements of different groups")
-    return v in _bruhat_interval(w)
 
 
 # ---------------------------------------------------------------------------

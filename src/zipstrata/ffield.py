@@ -179,10 +179,6 @@ class FiniteField:
             shift *= p
         return out
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        # the product on digit lists, which the tables must agree with
-        return self._from_digits(_coeff_mul(self._digits(a), self._digits(b), self.modulus, self.p))
-
     def _build_tables(self) -> None:
         n = self.order
         # discrete log tables on the unit group: the generator is the least

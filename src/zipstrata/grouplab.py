@@ -6,16 +6,17 @@ entrywise Frobenius on the common Levi.  The zip group
 
     E = {(p', p) in P' x P : frobenius(levi part of p') = levi part of p}
 
-acts on GL_n by g -> p' g p^{-1}.  This module enumerates points of all the
-groups involved, runs exact orbit censuses over small fields, locates the
-Bruhat cell of a matrix from its block rank profile, reduces a stratum to a
-smaller zip datum one layer down, and solves Lang's equation h^{-1} F(h) = g
-from the norm of g and the Frobenius-fixed rows.
+acts on GL_n by g -> p' g p^{-1}.  This module enumerates points of GL_n
+and its block parabolics, runs exact orbit censuses over small fields,
+locates the Bruhat cell of a matrix from its block rank profile, reduces a
+stratum to a smaller zip datum one layer down, and solves Lang's equation
+h^{-1} F(h) = g from the norm of g and the Frobenius-fixed rows.
 
 The radical U' of P' is normal in E and acts freely on the left, so a zip
 orbit is a union of cosets U'g.  The census and the orbit search walk one
-canonical form per coset, its least point, with E's other generators; the
-census enumerates the forms directly instead of the points of GL_n.
+canonical form per coset, its least point, with E's other generators
+compiled to moves of the orbit engine in `orbits`; the census enumerates the
+forms directly instead of the points of GL_n.
 
 A stratum's point count over F_Q is an integer polynomial in Q, read off the
 block sizes and the length of its label; the polynomial's degree is the
@@ -61,6 +62,15 @@ from .ffield import (
     prime_power,
     _leading_block_ranks,
     _row_reduce,
+)
+from .orbits import (
+    _Form,
+    _Op,
+    _compile_moves,
+    _elementary_entry,
+    _flat,
+    _orbit_partition,
+    _walk_orbit,
 )
 from .zipdatum import ZipCombinatorics, zip_from_cocharacter
 
@@ -329,26 +339,6 @@ def _levi_part(m: Mat, classes: Sequence[Sequence[int]], n: int) -> Mat:
     )
 
 
-def zip_group_points(
-    datum: ZipDatumGroupLevel, ext: int = 1
-) -> tuple[tuple[Mat, Mat], ...]:
-    """All pairs (p', p) of the zip group over the degree-`ext` extension."""
-    ff = _points_field(datum, ext)
-    n = datum.n
-    classes = datum.classes
-    upper_strict = _block_positions(classes, n, operator.lt)
-    lowers = parabolic_points(n, ff, datum.I, lower=True)
-    total = len(lowers) * ff.order ** len(upper_strict)
-    if total > ENUMERATION_GUARD:
-        raise TooLarge(f"the zip group has {total} points")
-    k = datum.twist_exponent
-    out = []
-    for p_prime in lowers:
-        levi = mat_frobenius(ff, _levi_part(p_prime, classes, n), k)
-        out.extend((p_prime, p) for p in _fillings(levi, upper_strict, ff.order))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # orbit census
 # ---------------------------------------------------------------------------
@@ -430,8 +420,7 @@ def stabilizer(
     parabolic P' fixes g with at most one p.  That p lies in E when it agrees
     with F(levi part of p') on the Levi blocks and zero below them.  This
     takes |P'| products instead of a scan of all |E| pairs.  The pairs come
-    in the order of `parabolic_points(..., lower=True)`, which is the order
-    of `zip_group_points`.
+    in the order of `parabolic_points(..., lower=True)`.
     """
     ff = _points_field(datum, ext)
     n = datum.n
@@ -791,19 +780,9 @@ def zip_orbit_search(
     return hits, radical * len(orbit)
 
 
-def _flat(m: Mat) -> tuple[int, ...]:
-    """The entries of m in row-major order; the orbit engine's point format."""
-    return tuple(itertools.chain.from_iterable(m))
-
-
 def _radical_order(datum: ZipDatumGroupLevel, ff: FiniteField) -> int:
     # |U'|: one free entry per position below the Levi blocks
     return ff.order ** len(_block_positions(datum.classes, datum.n, operator.gt))
-
-
-# The canonical point of the class of a flat matrix under a normal subgroup
-# an orbit walk leaves out, such as the coset U'g; `tuple` when there is none.
-_Form = Callable[[Sequence[int]], tuple[int, ...]]
 
 
 def _coset_form(ff: FiniteField, classes: Sequence[Sequence[int]]) -> _Form:
@@ -866,96 +845,6 @@ def _coset_forms(ff: FiniteField, classes: Sequence[Sequence[int]]) -> Iterator[
     return extend((), 0)
 
 
-# A row or column operation on a flat row-major n*n matrix: it sets
-# x[d] = table[x[s]][x[d]], which is x[d] + c*x[s], for each position pair
-# (d, s), the table holding the sums for the operation's scalar c.
-_Op = tuple[tuple[tuple[int, int], ...], "_AddTable"]
-
-
-class _AddTable(dict):
-    """Rows y -> y + c*x of one scalar c, keyed by x and built on first use.
-
-    Building rows lazily keeps the cost to the rows an orbit walk reads, so
-    large fields need no q-by-q table up front.
-    """
-
-    __slots__ = ("_add", "_mul", "_c", "_order")
-
-    # compared and hashed by identity: a compile makes one table per scalar,
-    # so moves with the same operations hold the same tables
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self, add: Callable[[int, int], int], mul: Callable[[int, int], int], c: int, order: int
-    ):
-        super().__init__()
-        self._add, self._mul, self._c, self._order = add, mul, c, order
-
-    def __missing__(self, x: int) -> tuple[int, ...]:
-        add, cx = self._add, self._mul(self._c, x)
-        row = tuple(add(y, cx) for y in range(self._order))
-        self[x] = row
-        return row
-
-
-def _elementary_entry(m: Mat) -> Optional[tuple[int, int, int]]:
-    """The one entry (i, j, value) where m differs from the identity, or None."""
-    n = len(m)
-    off = [(i, j, m[i][j]) for i in range(n) for j in range(n) if m[i][j] != (i == j)]
-    if len(off) > 1:
-        raise InvariantError("a generator must differ from the identity in one entry")
-    return off[0] if off else None
-
-
-def _compile_moves(
-    pairs: Iterable[tuple[Mat, Mat]],
-    n: int,
-    add: Callable[[int, int], int],
-    mul: Callable[[int, int], int],
-    order: int,
-) -> tuple[tuple[_Op, ...], ...]:
-    """Pairs (l, r) acting by g -> l g r, compiled to row and column operations.
-
-    l and r differ from the identity in at most one entry, over integer codes
-    with one coded as 1 and zero as 0; add and mul act on codes in
-    range(order).  l = 1 + c E_ij adds c times row j to row i, r = 1 + c E_ij
-    adds c times column i to column j.  A diagonal entry c scales a row or a
-    column, which is adding c - 1 times it to itself, so every operation
-    reads one table.  Each scalar gets one table, shared by every operation
-    with it.  Pairs that are the identity on both sides and repeated moves
-    are dropped.
-    """
-    minus_one = next(y for y in range(order) if add(1, y) == 0)
-    rows = [range(i * n, i * n + n) for i in range(n)]
-    cols = [range(j, n * n, n) for j in range(n)]
-
-    def op(dst: range, src: range, c: int) -> tuple[tuple[tuple[int, int], ...], int]:
-        if dst == src:
-            c = add(c, minus_one)
-        return tuple(zip(dst, src)), c
-
-    tables: dict[int, _AddTable] = {}
-    moves: dict[tuple, tuple[_Op, ...]] = {}  # keyed by the (position pairs, c) of each op
-    for left, right in pairs:
-        ops = []
-        entry = _elementary_entry(left)
-        if entry is not None:
-            i, j, c = entry
-            ops.append(op(rows[i], rows[j], c))
-        entry = _elementary_entry(right)
-        if entry is not None:
-            i, j, c = entry
-            ops.append(op(cols[j], cols[i], c))
-        key = tuple(ops)
-        if key and key not in moves:
-            moves[key] = tuple(
-                (links, tables.setdefault(c, _AddTable(add, mul, c, order))) for links, c in key
-            )
-    return tuple(moves.values())
-
-
 def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ...]:
     """The generators (p', p) of `zip_generators`, acting by g -> p' g p^{-1}, as moves.
 
@@ -978,66 +867,6 @@ def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ..
 
     pairs = ((pp, inverse(p)) for pp, p in zip_generators(datum, ext) if p != one)
     return _compile_moves(pairs, datum.n, ff.add, ff.mul, ff.order)
-
-
-def _walk_orbit(
-    moves: Sequence[tuple[_Op, ...]],
-    start: tuple[int, ...],
-    form: _Form,
-    guard: int = ENUMERATION_GUARD,
-) -> set[tuple[int, ...]]:
-    """The orbit of a flat matrix under the finite group the moves generate, as forms.
-
-    Each image of a move is replaced by its `form`; `start` must be a
-    form.  More than
-    `guard` forms raise TooLarge.  The walk is shared by every orbit
-    computation of the package, over finite fields and over truncated Witt
-    rings; it only reads the moves' tables.
-    """
-    orbit = {start}
-    stack = [start]
-    while stack:
-        if len(orbit) > guard:
-            raise TooLarge("orbit sweep exceeded the exhaustion guard")
-        cur = stack.pop()
-        for ops in moves:
-            x = list(cur)
-            for links, table in ops:
-                for d, s in links:
-                    x[d] = table[x[s]][x[d]]
-            nxt = form(x)
-            if nxt not in orbit:
-                orbit.add(nxt)
-                stack.append(nxt)
-    return orbit
-
-
-def _orbit_partition(
-    moves: Sequence[tuple[_Op, ...]],
-    points: Sequence[tuple[int, ...]],
-    order: int,
-    form: _Form,
-    weight: int = 1,
-) -> Iterator[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
-    """(seed, orbit) for the orbits of the moves on `points`, seeded at the first uncovered point.
-
-    The points are forms, as in `_walk_orbit`, each standing for `weight`
-    points of the space.  An orbit meeting an earlier one, or whose size
-    does not divide the group order, raises InvariantError; the caller checks
-    that the points exhaust the space.
-    """
-    remaining = set(points)
-    for seed in points:
-        if seed not in remaining:
-            continue
-        orbit = _walk_orbit(moves, seed, form)
-        if not orbit <= remaining:
-            raise InvariantError("an orbit meets an orbit found before it")
-        remaining -= orbit
-        size = weight * len(orbit)
-        if order % size:
-            raise InvariantError(f"an orbit of {size} points does not divide |G| = {order}")
-        yield seed, orbit
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
-from .coxeter import ENUMERATION_GUARD
+from .coxeter import ENUMERATION_GUARD, InvariantError, TooLarge
 from .ffield import (
     FiniteField,
     Mat,
@@ -46,17 +46,8 @@ from .ffield import (
     mat_inv,
     smallest_irreducible,
 )
-from .grouplab import (
-    InvariantError,
-    OrbitCensus,
-    OrbitRecord,
-    TooLarge,
-    _compile_moves,
-    _flat,
-    _Op,
-    _orbit_partition,
-    gl_points,
-)
+from .grouplab import OrbitCensus, OrbitRecord, gl_points
+from .orbits import _Op, _compile_moves, _flat, _orbit_partition
 
 __all__ = [
     "DisplayGroupElement",
@@ -808,7 +799,7 @@ def _display_generators(ring: GaloisRing, n: int, d_block: int) -> tuple[Display
     return tuple(gens)
 
 
-# The orbit kernel of grouplab runs on integer codes: an element with
+# The orbit engine of `orbits` runs on integer codes: an element with
 # coefficients c_k is coded as sum(c_k * (p**m)**k), so one is 1 and zero is 0.
 
 

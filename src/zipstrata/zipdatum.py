@@ -18,7 +18,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .coxeter import (
     InvariantError,
@@ -29,7 +29,6 @@ from .coxeter import (
     _compose,
     _diagram_image,
     _lower_interval,
-    bruhat_leq,
     element_from_word,
     has_left_descent_in,
     longest_element,
@@ -196,18 +195,6 @@ def _require_carrier_element(z: ZipCombinatorics, w: WeylElement) -> None:
         raise ValueError(f"{w!r} is not a minimal coset representative for I")
 
 
-def twisted_leq(z: ZipCombinatorics, w_prime: WeylElement, w: WeylElement) -> bool:
-    """Twisted order on the stratum labels, by exhaustive scan of W_I."""
-    _require_carrier_element(z, w_prime)
-    _require_carrier_element(z, w)
-    if parabolic_order(z.group, z.I) > LEVI_ENUMERATION_GUARD:
-        raise ValueError("Levi group too large to scan; the order is not available")
-    group, wp = z.group, w_prime.window
-    return any(
-        bruhat_leq(WeylElement(group, _compose(_compose(u, wp), p)), w) for u, p in _twist_pairs(z)
-    )
-
-
 @dataclass(frozen=True)
 class StratumPoset:
     """Stratum labels with lengths, dimensions and (when available) the order.
@@ -242,9 +229,6 @@ class StratumPoset:
         if not self.order_complete or self.rows is None:
             raise ValueError("the order was omitted for this datum (Levi too large)")
         return self.rows
-
-    def leq_elements(self, w_prime: WeylElement, w: WeylElement) -> bool:
-        return self._need_order()[self.index_of(w_prime)] >> self.index_of(w) & 1 == 1
 
 
 def dim_parabolic(z: ZipCombinatorics) -> int:
@@ -348,22 +332,6 @@ def _covers_from_leq(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(covers)
 
 
-def closure(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylElement]:
-    """All stratum labels weakly below w in the twisted order."""
-    poset = stratum_poset(z)
-    rows = poset._need_order()
-    j = poset.index_of(w)
-    return frozenset(poset.carrier[i] for i, row in enumerate(rows) if row >> j & 1)
-
-
-def boundary_maximal(z: ZipCombinatorics, w: WeylElement) -> frozenset[WeylElement]:
-    """Maximal elements of the boundary closure(w) - {w}."""
-    poset = stratum_poset(z)
-    poset._need_order()
-    j = poset.index_of(w)
-    return frozenset(poset.carrier[i] for i, k in poset.covers if k == j)
-
-
 # ---------------------------------------------------------------------------
 # purity
 # ---------------------------------------------------------------------------
@@ -416,67 +384,6 @@ def _purity_report(poset: StratumPoset, covers: Iterable[tuple[int, int]]) -> Pu
         for j, i in bad
     )
     return PurityReport(not violations, violations, len(lengths))
-
-
-# ---------------------------------------------------------------------------
-# Galois quotients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaloisQuotient:
-    orbits: tuple[tuple[WeylElement, ...], ...]
-    induced_leq: tuple[tuple[bool, ...], ...]
-
-
-def galois_quotient(
-    z: ZipCombinatorics,
-    frobenius_action: "Mapping[WeylElement, WeylElement] | Callable[[WeylElement], WeylElement]",
-) -> GaloisQuotient:
-    """Quotient of the stratum poset by a compatible permutation of the labels.
-
-    The action must permute the carrier and preserve the twisted order in both
-    directions; the induced relation on orbits is checked to be antisymmetric.
-    """
-    poset = stratum_poset(z)
-    rows, carrier = poset._need_order(), poset.carrier
-    if callable(frobenius_action) and not isinstance(frobenius_action, Mapping):
-        act = {w: frobenius_action(w) for w in carrier}
-    else:
-        act = dict(frobenius_action)
-    if sorted(act, key=lambda w: w.window) != sorted(carrier, key=lambda w: w.window):
-        raise ValueError("action must be defined exactly on the stratum labels")
-    if sorted((v.window for v in act.values())) != sorted(w.window for w in carrier):
-        raise ValueError("action must permute the stratum labels")
-    index = {w: k for k, w in enumerate(carrier)}
-    perm = [index[act[w]] for w in carrier]
-    if any(sum(1 << perm[j] for j in _bits(row)) != rows[perm[i]] for i, row in enumerate(rows)):
-        raise ValueError("action does not preserve the twisted order")
-    seen = set()
-    orbits: list[tuple[WeylElement, ...]] = []
-    for start in range(len(carrier)):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = perm[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = perm[cur]
-        anchor = min(range(len(cyc)), key=lambda t: (poset.length_of[cyc[t]], carrier[cyc[t]].window))
-        cyc = cyc[anchor:] + cyc[:anchor]
-        orbits.append(tuple(carrier[i] for i in cyc))
-    orbits.sort(key=lambda orb: (orb[0].length, orb[0].window))
-    masks, ups = [0] * len(orbits), [0] * len(orbits)
-    for a, orb in enumerate(orbits):
-        for w in orb:
-            masks[a] |= 1 << index[w]
-            ups[a] |= rows[index[w]]
-    induced = tuple(tuple(bool(up & mask) for mask in masks) for up in ups)
-    if any(induced[a][b] and induced[b][a] for a in range(len(orbits)) for b in range(a)):
-        raise ValueError("induced relation on orbits is not antisymmetric")
-    return GaloisQuotient(tuple(orbits), tuple(induced))
 
 
 # ---------------------------------------------------------------------------

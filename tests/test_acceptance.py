@@ -14,7 +14,6 @@ from time import monotonic
 
 from zipstrata.coxeter import (
     bruhat_leq,
-    bruhat_leq_subword,
     create_weyl,
     element_from_word,
     min_coset_reps,
@@ -36,7 +35,6 @@ from zipstrata.grouplab import (
     lang_preimage_table,
     make_zip_datum,
     stratum_point_polynomial,
-    zip_group_points,
     zip_orbit_census,
 )
 from zipstrata.witt import (
@@ -56,6 +54,8 @@ from zipstrata.witt import (
     verschiebung,
 )
 from zipstrata.zipdatum import purity_check, stratum_poset, zip_from_cocharacter
+
+from oracles import bruhat_leq_subword, zip_group_points
 
 ORDINARY = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
 SUPERSINGULAR = (((0, 1), (0, 0)), ((0, 1), (0, 0)))

@@ -1,8 +1,8 @@
 """Oracles for the Weyl group layer.
 
 The brute-force oracles here (BFS word length, exhaustive double-coset scans,
-the subword characterisation of Bruhat order) are deliberately independent of
-the production implementations they check.
+and from oracles.py the subword characterisation of Bruhat order) are
+deliberately independent of the production implementations they check.
 """
 
 import random
@@ -18,7 +18,6 @@ from zipstrata.coxeter import (
     WeylGroup,
     apply_diagram_automorphism,
     bruhat_leq,
-    bruhat_leq_subword,
     create_weyl,
     diagram_automorphisms,
     element_from_word,
@@ -30,10 +29,11 @@ from zipstrata.coxeter import (
     min_double_coset_rep,
     parabolic_elements,
     parabolic_order,
-    root_is_positive,
     simple_index_of,
     word_string,
 )
+
+from oracles import bruhat_leq_subword, root_is_positive
 
 
 def W(fam, rank):

@@ -29,6 +29,8 @@ from zipstrata.ffield import (
     solve_right,
 )
 
+from oracles import field_product
+
 
 def test_smallest_irreducible_matches_hand_computed_moduli():
     # x**2 + x + 1 over F_2, x**3 + x + 1 over F_3's cousin over F_2, x**2 + 1 over F_3.
@@ -86,18 +88,20 @@ def test_field_rejects_bad_parameters():
 
 def test_field_construction_walks_each_candidate_once(monkeypatch):
     calls = []
-    real = FiniteField._mul_raw
+    real = ffield._coeff_mul
 
-    def counting(self, a, b):
-        calls.append((a, b))
-        return real(self, a, b)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(FiniteField, "_mul_raw", counting)
+    monkeypatch.setattr(ffield, "_coeff_mul", counting)
     field = FiniteField(2, 12)
-    # the tables are stepped on digit lists: building them multiplies no pair
-    assert calls == []
+    # the tables are stepped on digit lists: only the power tests of each
+    # candidate up to the generator, one per prime 3, 5, 7, 13 of 2^12 - 1 and
+    # two products per bit of the exponent, multiply polynomials
+    assert len(calls) <= field.generator * 4 * 2 * 12
     for a, b in ((3, 5), (4095, 4095), (1234, 777)):
-        assert field.mul(a, b) == real(field, a, b)
+        assert field.mul(a, b) == field_product(field, a, b)
 
 
 def test_field_construction_walks_only_the_generator(monkeypatch):
@@ -124,7 +128,7 @@ def test_exp_table_steps_by_the_reference_product(p, d):
     exp = field._exp
     assert len(exp) == field.order - 1 and exp[0] == 1
     for k, x in enumerate(exp):
-        assert field._mul_raw(x, field.generator) == exp[(k + 1) % len(exp)]
+        assert field_product(field, x, field.generator) == exp[(k + 1) % len(exp)]
 
 
 def test_oversized_fields_are_refused_before_any_table(monkeypatch):

@@ -40,7 +40,6 @@ from zipstrata.ffield import (
     mat_rank,
 )
 from zipstrata.grouplab import (
-    _compile_moves,
     _double_coset_min,
     _zip_moves,
     Gl2Counterexample,
@@ -60,11 +59,13 @@ from zipstrata.grouplab import (
     stratum_point_polynomial,
     zip_generators,
     zip_group_order,
-    zip_group_points,
     zip_orbit_census,
     zip_orbit_search,
 )
+from zipstrata.orbits import _compile_moves, _flat
 from zipstrata.zipdatum import stratum_dimension, stratum_poset
+
+from oracles import zip_group_points
 
 F2 = get_field(2, 1)
 F3 = get_field(3, 1)
@@ -375,8 +376,8 @@ def test_coset_form_is_the_least_point_of_each_coset(n, field, I):
         coset = {mat_mul(field, u, g) for u in radical}
         assert len(coset) == len(radical), "U' acts freely"
         remaining -= coset
-        least.append(grouplab._flat(min(coset)))
-        assert {form(grouplab._flat(h)) for h in coset} == {least[-1]}
+        least.append(_flat(min(coset)))
+        assert {form(_flat(h)) for h in coset} == {least[-1]}
     forms = list(grouplab._coset_forms(field, d.classes))
     assert forms == sorted(least)
     assert len(forms) * len(radical) == gl_order(n, field.order)
@@ -862,6 +863,37 @@ def test_grouplab_has_no_bare_asserts():
                       if isinstance(node, ast.Assert)])
     }
     assert found == {}, f"assert statements vanish under python -O: {found}"
+
+
+ENGINE_NAMES = (
+    "_Op", "_Form", "_AddTable", "_elementary_entry",
+    "_compile_moves", "_walk_orbit", "_orbit_partition", "_flat",
+)
+
+
+def test_the_orbit_engine_lives_only_in_orbits():
+    package = Path(zipstrata.__file__).parent
+    private_from_grouplab, defined_in = [], {name: [] for name in ENGINE_NAMES}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("grouplab", "zipstrata.grouplab"):
+                private_from_grouplab += [
+                    (path.name, a.name) for a in node.names if a.name.startswith("_")
+                ]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name in defined_in:
+                    defined_in[name].append(path.name)
+    assert private_from_grouplab == []
+    assert defined_in == {name: ["orbits.py"] for name in ENGINE_NAMES}
 
 
 def _inexact_lines(tree):
