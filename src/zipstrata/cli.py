@@ -24,10 +24,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .coxeter import InvariantError, create_weyl, longest_element, word_string
+from .coxeter import InvariantError, ParabolicType, create_weyl, longest_element, word_string
 from .ffield import get_field, is_prime, prime_power
 from .fzip import classify, enumerate_strata, fzip_from_json, fzip_type
-from .grouplab import counterexample_gl2, make_zip_datum, zip_group_order, zip_orbit_census
+from .grouplab import counterexample_gl2, levi_of_blocks, make_zip_datum, zip_group_order, zip_orbit_census
 from .witt import check_reduction, orbit_census_level
 from .zipdatum import (
     PsiMismatch,
@@ -103,17 +103,12 @@ def _field_size(q: int) -> tuple[int, int]:
         raise _UsageError(str(exc))
 
 
-def _blocks_to_simples(blocks: Sequence[int], n: int) -> tuple[int, ...]:
+def _blocks_to_simples(blocks: Sequence[int], n: int) -> ParabolicType:
     if any(b < 1 for b in blocks):
         raise _UsageError("--blocks entries must be positive")
     if sum(blocks) != n:
         raise _UsageError(f"--blocks must sum to n={n}")
-    cuts = set()
-    running = 0
-    for b in blocks[:-1]:
-        running += b
-        cuts.add(running)
-    return tuple(i for i in range(1, n) if i not in cuts)
+    return levi_of_blocks(blocks)
 
 
 def _datum_from_flags(ns: argparse.Namespace):

@@ -19,6 +19,13 @@ positions of the interval [e, w0], closed along its up-covers once per group;
 v <= w iff the down-set of v lies inside that of w.  The cached guard of a
 type D group is 0, which selects the down-set test.
 
+The minimal coset representatives ^I W of W_I \\ W, in every family, and the
+elements of a parabolic W_K are one walk of ascents w -> w * s_j from e,
+which stops an ascent when w(alpha_j) is a simple root alpha_i with i in I
+(Deodhar's lemma).  ^I W is refused with TooLarge before the walk when
+|W| / |W_I| passes ENUMERATION_GUARD, and a Bruhat interval once it grows
+past ENUMERATION_GUARD windows.
+
 Hot paths (reduced words, coset representatives, words to elements) work on
 windows and build a validated ``WeylElement`` only for what they return.
 """
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -465,25 +472,12 @@ def parabolic_order(group: WeylGroup, subset: "ParabolicType | Iterable[int]") -
 
 
 def parabolic_elements(group: WeylGroup, subset: "ParabolicType | Iterable[int]") -> tuple[WeylElement, ...]:
-    """All elements of W_K, BFS over the generating reflections on windows."""
+    """All elements of W_K, sorted by (length, window): the ascent walk over the letters of K."""
     K = ParabolicType.of(subset)
     K.validate(group)
     if parabolic_order(group, K) > ENUMERATION_GUARD:
         raise TooLarge("parabolic subgroup too large to enumerate")
-    gens = [group._simple_windows[i - 1] for i in K]
-    e = tuple(range(1, group.npoints + 1))
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                u = _compose(s, w)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    elements = [WeylElement(group, w) for w in seen]
+    elements = [WeylElement(group, w) for w in _ascent_walk(group, K, ())]
     return tuple(sorted(elements, key=lambda w: (w.length, w.window)))
 
 
@@ -533,47 +527,6 @@ def has_left_descent_in(w: WeylElement, K: ParabolicType) -> bool:
     return any(_window_descent(fam, inv, i) for i in K)
 
 
-def _blocks_of_type_a_subset(group: WeylGroup, K: ParabolicType) -> list[list[int]]:
-    """Partition of the permuted points into maximal runs glued by K."""
-    N = group.npoints
-    blocks, cur = [], [1]
-    for point in range(2, N + 1):
-        if (point - 1) in K:
-            cur.append(point)
-        else:
-            blocks.append(cur)
-            cur = [point]
-    blocks.append(cur)
-    return blocks
-
-
-def _min_reps_type_a(group: WeylGroup, K: ParabolicType) -> list[WeylElement]:
-    """Minimal coset representatives in type A via block shuffles.
-
-    An element has no left descent in K exactly when the positions of each
-    block of consecutive values appear in increasing order, so representatives
-    correspond to ways of dealing the position set out to the blocks.
-    """
-    N = group.npoints
-    blocks = _blocks_of_type_a_subset(group, K)
-    reps: list[WeylElement] = []
-
-    def deal(block_idx: int, free_positions: tuple[int, ...], inv: list[int]) -> None:
-        if block_idx == len(blocks):
-            reps.append(WeylElement(group, _inverse_window(inv)))
-            return
-        values = blocks[block_idx]
-        for chosen in combinations(free_positions, len(values)):
-            nxt = list(inv)
-            for value, pos in zip(values, chosen):
-                nxt[value - 1] = pos
-            rest = tuple(p for p in free_positions if p not in chosen)
-            deal(block_idx + 1, rest, nxt)
-
-    deal(0, tuple(range(1, N + 1)), [0] * N)
-    return reps
-
-
 def min_coset_reps(group: WeylGroup, subset: "ParabolicType | Iterable[int]") -> tuple[WeylElement, ...]:
     """The minimal length representatives of W_K \\ W, sorted by (length, word)."""
     K = ParabolicType.of(subset)
@@ -583,11 +536,48 @@ def min_coset_reps(group: WeylGroup, subset: "ParabolicType | Iterable[int]") ->
 
 @lru_cache(maxsize=None)
 def _min_coset_reps(group: WeylGroup, K: ParabolicType) -> tuple[WeylElement, ...]:
-    if group.family == "A":
-        reps = _min_reps_type_a(group, K)
-    else:
-        reps = [w for w in _all_elements(group) if not has_left_descent_in(w, K)]
+    count = group.order // parabolic_order(group, K)
+    if count > ENUMERATION_GUARD:
+        raise TooLarge(f"{count} minimal coset representatives pass the enumeration guard")
+    reps = [WeylElement(group, w) for w in _ascent_walk(group, range(1, group.rank + 1), K)]
     return tuple(sorted(reps, key=lambda w: (w.length, w.reduced_word())))
+
+
+def _ascent_walk(group: WeylGroup, letters: Iterable[int], walls: Iterable[int]) -> set[Window]:
+    """Windows reached from e by ascents w -> w * s_j, j in letters, that no wall stops.
+
+    An ascent from w is stopped when w(alpha_j) is the simple root of a wall.
+    With every letter and walls I this walks ^I W: for w in ^I W and an
+    ascent s_j, w * s_j lies in ^I W unless w(alpha_j) = alpha_i with i in I,
+    when w * s_j = s_i * w (Deodhar's lemma), and ^I W holds the prefixes of
+    reduced words of its elements.  With the letters of K and no walls it
+    walks W_K.  A root +-e_a +- e_b is kept as its signed points (+-a, +-b),
+    and +-e_a as (+-a, +-a), so w(alpha_j) is read off the one or two window
+    entries that s_j moves.
+    """
+    moves = [_root_move(group.simple_root(j)) for j in letters]
+    stops = set()
+    for m in walls:
+        i, j, s = _root_move(group.simple_root(m))
+        stops |= {(i + 1, -s * (j + 1)), (-s * (j + 1), i + 1)}
+    e = tuple(range(1, group.npoints + 1))
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i, j, s in moves:
+                a, b = w[i], s * w[j]
+                if _after(a, b) or (a, -b) in stops:
+                    continue
+                ws = list(w)
+                ws[i], ws[j] = b, s * a
+                ws = tuple(ws)
+                if ws not in seen:
+                    seen.add(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    return seen
 
 
 def min_double_coset_rep(
@@ -697,6 +687,8 @@ def _lower_interval(top: WeylElement) -> tuple[tuple[Window, ...], dict[Window, 
     letter at a time; appending s_i lowers the length by one when s_i is a
     right descent and raises it by one otherwise.  The up-covers of v are the
     v * t, t a reflection, that lie in the interval and are one longer.
+    Raises TooLarge after the letter that takes it past ENUMERATION_GUARD
+    windows; a letter at most doubles it.
     """
     group = top.group
     lengths = {tuple(range(1, group.npoints + 1)): 0}
@@ -706,6 +698,8 @@ def _lower_interval(top: WeylElement) -> tuple[tuple[Window, ...], dict[Window, 
             vs = list(v)
             vs[i], vs[j] = s * v[j], s * v[i]
             lengths.setdefault(tuple(vs), l - 1 if _after(v[i], s * v[j]) else l + 1)
+        if len(lengths) > ENUMERATION_GUARD:
+            raise TooLarge(f"the Bruhat interval below a length-{top.length} element passes {ENUMERATION_GUARD} windows")
     windows = tuple(sorted(lengths, key=lengths.__getitem__))
     index = {v: k for k, v in enumerate(windows)}
     moves = [_root_move(root) for root in group.positive_roots()]

@@ -47,7 +47,7 @@ from .ffield import (
     prime_power,
     solve_right,
 )
-from .grouplab import make_zip_datum, zip_orbit_search
+from .grouplab import levi_of_blocks, make_zip_datum, zip_orbit_search
 from .zipdatum import StratumPoset, stratum_poset, zip_from_cocharacter
 
 __all__ = [
@@ -154,19 +154,12 @@ class FZipType:
 def type_to_parabolic(t: FZipType) -> tuple[int, ParabolicType]:
     """Rank and parabolic type cut out by the multiplicity pattern.
 
-    Blocks are the multiplicities in increasing weight order; the parabolic
-    keeps every simple index except the running block boundaries.
+    Blocks are the multiplicities in increasing weight order.
     """
     n = t.total_rank
     if n < 1:
         raise ValueError("the type has rank zero")
-    cuts = set()
-    run = 0
-    for _, m in t.entries:
-        run += m
-        if run < n:
-            cuts.add(run)
-    return n, ParabolicType.of(i for i in range(1, n) if i not in cuts)
+    return n, levi_of_blocks([m for _, m in t.entries])
 
 
 def enumerate_strata(t: FZipType) -> StratumPoset:

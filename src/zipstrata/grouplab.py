@@ -91,6 +91,15 @@ def _levi_classes(n: int, I: ParabolicType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
+def levi_of_blocks(blocks: Sequence[int]) -> ParabolicType:
+    """The Levi set I of diagonal blocks of these sizes: the simple indices but the running sums.
+
+    _levi_classes is its inverse.
+    """
+    cuts = set(itertools.accumulate(blocks))
+    return ParabolicType.of(i for i in range(1, sum(blocks)) if i not in cuts)
+
+
 def _class_ids(classes: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     ids = [0] * n
     for k, cls in enumerate(classes):

@@ -135,6 +135,14 @@ def test_strata_results_are_byte_deterministic(capsys):
     assert json.loads(first[1])["order"] == "complete"
 
 
+def test_strata_of_the_b9_levi_a8_datum_lists_512_labels_and_omits_the_order(capsys):
+    code, out, _ = run(capsys, "strata", "--group", "B", "--rank", "9", "--I", "1,2,3,4,5,6,7,8")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["strata"]) == 512
+    assert payload["order"] == "omitted:levi-too-large"
+
+
 def test_strata_progress_notes_stay_on_stderr(capsys):
     code, out, err = run(capsys, "strata", "--group", "A", "--rank", "2")
     assert code == 0

@@ -328,18 +328,46 @@ def test_min_coset_reps_tile_the_group(fam, rank):
         assert keys == sorted(keys)
 
 
-def test_min_coset_reps_fast_path_agrees_with_filter():
-    for rank in (3, 4):
-        g = W("A", rank)
-        for K in [{1}, {2}, {1, 3}, set(range(1, rank + 1)), set()]:
-            fast = min_coset_reps(g, K)
+@pytest.mark.parametrize(
+    "fam,rank",
+    [(f, r) for f in "ABCD" for r in range(1 + (f == "D"), 5)] + [("A", 5), ("D", 5)],
+)
+def test_min_coset_reps_walk_agrees_with_filter(fam, rank):
+    import itertools
+
+    g = W(fam, rank)
+    for size in range(rank + 1):
+        for K in map(set, itertools.combinations(range(1, rank + 1), size)):
             slow = tuple(
                 sorted(
                     (w for w in g.elements() if not any(i in K for i in w.left_descents())),
                     key=lambda w: (w.length, w.reduced_word()),
                 )
             )
-            assert fast == slow
+            assert min_coset_reps(g, K) == slow, K
+
+
+def test_min_coset_reps_refuse_too_many_labels_before_walking(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(coxeter, "_ascent_walk", refuse)
+    with pytest.raises(TooLarge, match=str(_factorial(13))):
+        min_coset_reps(create_weyl("A", 12), ())
+    with pytest.raises(TooLarge, match="minimal coset representatives"):
+        min_coset_reps(create_weyl("B", 9), ())
+
+
+def test_lower_interval_refuses_to_grow_past_the_guard(monkeypatch):
+    w0 = longest_element(W("A", 3))
+    coxeter._lower_interval.cache_clear()
+    monkeypatch.setattr(coxeter, "ENUMERATION_GUARD", 24)
+    assert len(coxeter._lower_interval(w0)[0]) == 24
+    coxeter._lower_interval.cache_clear()
+    monkeypatch.setattr(coxeter, "ENUMERATION_GUARD", 23)
+    with pytest.raises(TooLarge, match="passes 23 windows"):
+        coxeter._lower_interval(w0)
+    coxeter._lower_interval.cache_clear()
 
 
 def test_min_double_coset_rep_against_brute_scan():

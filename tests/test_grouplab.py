@@ -50,6 +50,7 @@ from zipstrata.grouplab import (
     gl_points,
     lang_preimage,
     lang_preimage_table,
+    levi_of_blocks,
     make_zip_datum,
     parabolic_points,
     reduce_datum,
@@ -116,6 +117,19 @@ def frobenius_matrix(field, m, k=1):
 # ---------------------------------------------------------------------------
 # point enumeration
 # ---------------------------------------------------------------------------
+
+
+
+def test_levi_of_blocks_is_inverted_by_the_levi_classes():
+    import itertools
+
+    for n in range(1, 7):
+        for cuts in itertools.product((0, 1), repeat=n - 1):
+            ends = [i for i, c in enumerate(cuts, start=1) if c] + [n]
+            blocks = [b - a for a, b in zip([0] + ends, ends)]
+            classes = grouplab._levi_classes(n, levi_of_blocks(blocks))
+            assert [len(c) for c in classes] == blocks
+    assert sorted(levi_of_blocks([1, 20, 1])) == list(range(2, 21))
 
 
 def test_gl_points_exhaust_the_group_of_the_right_order():

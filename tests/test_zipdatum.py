@@ -338,7 +338,7 @@ def test_the_interval_of_the_gl8_7_1_datum_has_two_to_the_seventh_windows():
     assert len(_lower_interval(carrier[-1])[0]) == 2**7
 
 
-def test_type_a_posets_never_enumerate_the_whole_group(monkeypatch):
+def test_posets_never_enumerate_the_whole_group(monkeypatch):
     from zipstrata import coxeter, zipdatum
 
     def refuse(group):
@@ -350,6 +350,10 @@ def test_type_a_posets_never_enumerate_the_whole_group(monkeypatch):
     z = zip_from_cocharacter(create_weyl("A", 7), range(1, 7), gl_center=True)
     assert len(stratum_poset(z).carrier) == 8
     assert purity_check(z).passed
+    for family, labels in (("B", 64), ("D", 32)):
+        p = stratum_poset(zip_from_cocharacter(create_weyl(family, 6), range(1, 6)))
+        assert len(p.carrier) == labels
+        assert p.order_complete
 
 
 @pytest.mark.parametrize("family,rank", SMALL_GROUPS)
