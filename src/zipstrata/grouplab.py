@@ -295,11 +295,10 @@ def gl_points(n: int, field: FiniteField) -> tuple[Mat, ...]:
     return tuple(_iter_gl(n, field, itertools.product(range(field.order), repeat=n)))
 
 
-def _require_enumerable_gl(n: int, field: FiniteField) -> int:
+def _require_enumerable_gl(n: int, field: FiniteField) -> None:
     total = gl_order(n, field.order)
     if total > ENUMERATION_GUARD:
         raise TooLarge(f"GL_{n} over a field of {field.order} elements has {total} points")
-    return total
 
 
 def parabolic_points(
@@ -394,17 +393,21 @@ def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
     canonical form per coset (`_coset_form`, the coset's least point) under
     the moves compiled from the other generators of `zip_generators`: one
     row or column operation (or a pair of them) each, read from integer-coded
-    tables.  The forms are enumerated directly in increasing order, and each
-    orbit is seeded at the least uncovered one, which is its least point.  An
-    orbit has |U'| times as many points as cosets, and its stabilizer order
-    is |E| / |orbit| with |E| from its closed form.
+    tables.  The forms are enumerated directly in increasing order
+    (`_coset_forms`), and each orbit is seeded at the least uncovered one,
+    which is its least point.  An orbit has |U'| times as many points as
+    cosets, and its stabilizer order is |E| / |orbit| with |E| from its
+    closed form.  The census refuses, before listing any form, when the
+    |GL_n| / |U'| forms pass ENUMERATION_GUARD.
     """
     ff = _points_field(datum, ext)
     n = datum.n
-    total = _require_enumerable_gl(n, ff)
+    total = gl_order(n, ff.order)
+    radical = _radical_order(datum, ff)
+    if (cosets := total // radical) > ENUMERATION_GUARD:
+        raise TooLarge(f"GL_{n} over a field of {ff.order} elements has {cosets} cosets of U'")
     order_e = zip_group_order(datum, ext)
     moves = _zip_moves(datum, ext)
-    radical = _radical_order(datum, ff)
     forms = tuple(_coset_forms(ff, datum.classes))
     if len(forms) * radical != total:
         raise InvariantError("the cosets of U' do not exhaust GL_n")
@@ -733,16 +736,21 @@ def zip_generators(
 ) -> tuple[tuple[Mat, Mat], ...]:
     """A generating set of the zip group over the degree-`ext` extension.
 
-    Pairs (p', p), in this order: (1 + E_ij, 1) for each root ij of the
-    radical of P', (1, 1 + E_ij) for each root ij of the radical of P, and
-    per Levi block one scaling (l, F(l)) with l = diag(t, 1, ..., 1) for the
-    field generator t, then (1 + E_ij, 1 + E_ij) for each ordered pair i != j
-    inside the block.  The Levi pairs generate {(l, F(l))}, as the scaling
-    and the transvections of scalar 1 generate each GL block.  Conjugating by
-    the Levi torus scales the root group of ij by t_i / t_j, which runs over
-    F_Q^*, and F_Q^* spans F_Q additively, so scalar 1 suffices on the
-    radicals too.  No inverses are needed: in a finite group the closure of a
-    point under the generators alone is its orbit.
+    Pairs (p', p), in this order: (1 + E_{c+1,c}, 1), then (1, 1 + E_{c,c+1}),
+    for the last index c of each Levi block but the last; then per Levi
+    block the scaling (l, F(l)) with l = diag(t, 1, ..., 1) for the field
+    generator t, and (l, F(l)) for l = 1 + E_{i,i+1} and 1 + E_{i+1,i} for
+    each pair of consecutive indices of the block.
+
+    They generate E.  The consecutive transvections and the scaling generate
+    GL_k(F_Q): the transvections give permutations that move the scaling to
+    every diagonal entry, the torus scales each root group by t_i / t_j over
+    all of F_Q^*, which spans F_Q additively, and the consecutive root groups
+    with the torus generate GL_k.  Levi conjugation carries the one root
+    between blocks a and a+1 onto the whole (a+1, a) block of U', and
+    commutators reach the farther blocks; U likewise, as F is bijective on
+    L(F_Q).  No inverses are needed: in a finite group the closure of a point
+    under the generators alone is its orbit.
     """
     ff = _points_field(datum, ext)
     n = datum.n
@@ -750,18 +758,19 @@ def zip_generators(
     k = datum.twist_exponent
     one = mat_identity(n)
 
-    def elementary(i: int, j: int, c: int) -> Mat:
+    def elementary(i: int, j: int, c: int = 1) -> Mat:
         # the identity with entry (i, j) set to c
         return tuple(
             tuple(c if (a, b) == (i, j) else one[a][b] for b in range(n))
             for a in range(n)
         )
 
-    pairs = [(elementary(i, j, 1), one) for i, j in _block_positions(classes, n, operator.gt)]
-    pairs += [(one, elementary(i, j, 1)) for i, j in _block_positions(classes, n, operator.lt)]
+    cuts = [cls[-1] for cls in classes[:-1]]
+    pairs = [(elementary(c + 1, c), one) for c in cuts]
+    pairs += [(one, elementary(c, c + 1)) for c in cuts]
     for cls in classes:
         levis = [elementary(cls[0], cls[0], ff.generator)]
-        levis += [elementary(i, j, 1) for i in cls for j in cls if i != j]
+        levis += [elementary(a, b) for i in cls[:-1] for a, b in ((i, i + 1), (i + 1, i))]
         pairs += [(l, mat_frobenius(ff, l, k)) for l in levis]
     return tuple(pairs)
 
@@ -798,33 +807,45 @@ def _coset_form(ff: FiniteField, classes: Sequence[Sequence[int]]) -> _Form:
     """The least point of U'g, for flat row-major g.
 
     U' adds to each row of a Levi class any vector in the span of the rows
-    of the classes before it.  The form reduces each row modulo the reduced
-    row echelon basis of that span (empty for the first class), so it is
-    zero at every pivot column.  Each nonzero vector of the span has its
-    first nonzero entry at a pivot, where the form has 0 and any other point
-    of the coset a nonzero code, so the form is the lexicographic minimum.
-    The bases are cached by the flat prefix they come from, for the life of
-    the returned function.
+    of the classes before it.  The form reduces each row modulo an echelon
+    basis of that span (empty for the first class), so it is zero at every
+    pivot column.  Each nonzero vector of the span has its first nonzero
+    entry at a pivot, where the form has 0 and any other point of the coset
+    a nonzero code, so the form is the lexicographic minimum.  The reduced
+    rows of a class vanish at the earlier pivots, so the union of the
+    earlier classes' reduced row echelon bases of their own reduced rows,
+    applied class by class, serves as that basis.  Each class but the last
+    looks its basis up once, keyed by its rows, in a cache kept for the life
+    of the returned function.
     """
     if len(classes) == 1:
         return tuple  # U' is trivial
     n = sum(map(len, classes))
-    starts = [cls[0] * n for cls in classes for _ in cls]  # each row's class, as a flat offset
+    head = len(classes[0]) * n  # the first class has nothing to reduce by
+    spans = [(cls[0] * n, (cls[-1] + 1) * n) for cls in classes[1:]]  # flat rows of each later class
+    last = spans[-1][0]
     add, mul = ff.add, ff.mul
-    bases: dict[tuple[int, ...], list] = {}  # (pivot, minus the basis row) by prefix
+    bases: dict[tuple[int, ...], list] = {}  # (pivot, minus the basis row) by a class's rows
+
+    def basis_of(rows: tuple[int, ...]) -> list:
+        basis = bases.get(rows)
+        if basis is None:
+            echelon, pivots = _row_reduce(ff, [list(rows[j:j + n]) for j in range(0, len(rows), n)])
+            basis = bases[rows] = [(c, [ff.neg(v) for v in r]) for c, r in zip(pivots, echelon)]
+        return basis
 
     def form(x: Sequence[int]) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for i, start in enumerate(starts):
-            prefix = out[:start]
-            if prefix not in bases:
-                rows, pivots = _row_reduce(ff, [list(prefix[j:j + n]) for j in range(0, start, n)])
-                bases[prefix] = [(c, [ff.neg(v) for v in row]) for c, row in zip(pivots, rows)]
-            row = x[i * n:i * n + n]
-            for c, minus in bases[prefix]:
-                if a := row[c]:
-                    row = [add(v, mul(a, m)) for v, m in zip(row, minus)]
-            out += tuple(row)
+        out = tuple(x[:head])
+        basis = basis_of(out)
+        for start, stop in spans:
+            for i in range(start, stop, n):
+                row = x[i:i + n]
+                for c, minus in basis:
+                    if a := row[c]:
+                        row = [add(v, mul(a, m)) for v, m in zip(row, minus)]
+                out += tuple(row)
+            if start != last:
+                basis = basis + basis_of(out[start:])
         return out
 
     return form
@@ -837,21 +858,36 @@ def _coset_forms(ff: FiniteField, classes: Sequence[Sequence[int]]) -> Iterator[
     that vanish at the pivots of the rows before the class.  Such a row lies
     in the span of the earlier rows only if it lies in that of the earlier
     rows of its class, so the block of a class is any independent tuple of
-    these vectors.
+    these vectors, and the pivots of the rows up to it are the disjoint
+    union of the earlier pivots and the block's own.  The blocks of a class
+    and their pivots depend only on the earlier pivots, so they are listed
+    once per pivot set (`_iter_gl`, whose order keeps the forms increasing),
+    and no prefix is row-reduced; the last class needs no pivots.
     """
     n = sum(map(len, classes))
     scalars = range(ff.order)
+    last = len(classes) - 1
+    # per earlier pivot set, whose size fixes the class: (flat block, pivots up to it)
+    listed: dict[frozenset[int], list[tuple[tuple[int, ...], frozenset[int]]]] = {}
 
-    def extend(rows: Mat, k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(classes):
-            yield _flat(rows)
+    def blocks(k: int, pivots: frozenset[int]) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+        if pivots not in listed:
+            free = itertools.product(*((0,) if c in pivots else scalars for c in range(n)))
+            listed[pivots] = [
+                (_flat(block), pivots if k == last else
+                 pivots.union(_row_reduce(ff, [list(r) for r in block])[1]))
+                for block in _iter_gl(n, ff, free, len(classes[k]))
+            ]
+        return listed[pivots]
+
+    def extend(prefix: tuple[int, ...], k: int, pivots: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        if k == last:
+            yield from (prefix + block for block, _ in blocks(k, pivots))
             return
-        _, pivots = _row_reduce(ff, [list(r) for r in rows])
-        free = itertools.product(*((0,) if c in pivots else scalars for c in range(n)))
-        for block in _iter_gl(n, ff, free, len(classes[k])):
-            yield from extend(rows + block, k + 1)
+        for block, upto in blocks(k, pivots):
+            yield from extend(prefix + block, k + 1, upto)
 
-    return extend((), 0)
+    return extend((), 0, frozenset())
 
 
 def _zip_moves(datum: ZipDatumGroupLevel, ext: int) -> tuple[tuple[_Op, ...], ...]:
@@ -976,34 +1012,48 @@ class Gl2Counterexample:
     boundary_drop: int
 
 
+def _unipotent_cone(field: FiniteField) -> set[tuple[int, ...]]:
+    """The flat 2-by-2 matrices g with (g - 1)^2 = 0, from tr(g - 1) = det(g - 1) = 0.
+
+    Every 2-by-2 matrix N satisfies N^2 = tr(N) N - det(N) 1, so N^2 = 0
+    exactly when the trace and the determinant of N vanish.
+    """
+    add, mul = field.add, field.mul
+    return {
+        (add(a, 1), b, c, add(d, 1))
+        for a, b, c, d in itertools.product(range(field.order), repeat=4)
+        if add(a, d) == 0 and mul(a, d) == mul(b, c)
+    }
+
+
 def counterexample_gl2(q: int) -> Gl2Counterexample:
-    """Certify the failure of one-step closures for conjugation on GL_2(F_q)."""
+    """Certify the failure of one-step closures for conjugation on GL_2(F_q).
+
+    The class of u = ((1, 1), (0, 1)) is walked with the orbit engine on the
+    conjugations g -> l g l^{-1} by the two transvections of scalar 1 and
+    diag(t, 1), which generate GL_2(F_q).
+    """
     field = get_field(*prime_power(q))
-    u = ((1, 1), (0, 1))
-    points = gl_points(2, field)
-    orbit = {mat_mul(field, mat_mul(field, g, u), mat_inv(field, g)) for g in points}
+    _require_enumerable_gl(2, field)  # the cone sweeps all q^4 matrices
+    gens = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((field.generator, 0), (0, 1))]
+    moves = _compile_moves(
+        ((l, mat_inv(field, l)) for l in gens), 2, field.add, field.mul, field.order
+    )
+    orbit = _walk_orbit(moves, (1, 1, 0, 1), tuple)
     if len(orbit) != q * q - 1:
         raise InvariantError(f"the regular unipotent class has {len(orbit)} points, not q^2 - 1")
-    identity = mat_identity(2)
+    identity = (1, 0, 0, 1)
     if identity in orbit:
         raise InvariantError("the regular unipotent class must not contain the identity")
-    cone = set()
-    for g in points:
-        shifted = tuple(
-            tuple(field.sub(g[i][j], identity[i][j]) for j in range(2))
-            for i in range(2)
-        )
-        square = mat_mul(field, shifted, shifted)
-        if all(v == 0 for row in square for v in row):
-            cone.add(g)
+    cone = _unipotent_cone(field)
     if cone != orbit | {identity}:
         raise InvariantError("the unipotent cone must be the class plus the identity")
     if len(cone) != q * q:
         raise InvariantError(f"the unipotent cone has {len(cone)} points, not q^2")
     for t in range(1, field.order):
-        if ((1, t), (0, 1)) not in orbit:
+        if (1, t, 0, 1) not in orbit:
             raise InvariantError(f"the unipotent ((1, {t}), (0, 1)) is missing from the class")
-    # the sweep found the class's q^2 - 1 points; over F_Q it has Q^2 - 1
+    # the walk found the class's q^2 - 1 points; over F_Q it has Q^2 - 1
     polynomial = (-1, 0, 1)
     sizes = tuple(_evaluate(polynomial, q**s) for s in (1, 2, 3))
     dim = len(polynomial) - 1

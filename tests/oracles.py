@@ -3,23 +3,34 @@
 Each one computes by exhaustion or by a textbook characterisation what the
 package computes by a faster route, and none of them is reached from
 `src/`: the subword characterisation of Bruhat order, the sign of a root,
-the whole zip group as a list of pairs, and the field product on digit
-lists.
+the whole zip group as a list of pairs, a generating set of it with a
+transvection per root, the coset forms listed prefix by prefix, and the
+field product on digit lists.
 """
 
+import itertools
 import operator
 from functools import lru_cache
 
 from zipstrata.coxeter import ENUMERATION_GUARD, Root, TooLarge, WeylElement
-from zipstrata.ffield import FiniteField, Mat, _coeff_mul, mat_frobenius
+from zipstrata.ffield import (
+    FiniteField,
+    Mat,
+    _coeff_mul,
+    _row_reduce,
+    mat_frobenius,
+    mat_identity,
+)
 from zipstrata.grouplab import (
     ZipDatumGroupLevel,
     _block_positions,
     _fillings,
+    _iter_gl,
     _levi_part,
     _points_field,
     parabolic_points,
 )
+from zipstrata.orbits import _flat
 
 
 def root_is_positive(root: Root) -> bool:
@@ -63,6 +74,59 @@ def zip_group_points(
         levi = mat_frobenius(ff, _levi_part(p_prime, classes, n), k)
         out.extend((p_prime, p) for p in _fillings(levi, upper_strict, ff.order))
     return tuple(out)
+
+
+def zip_generators_per_root(
+    datum: ZipDatumGroupLevel, ext: int = 1
+) -> tuple[tuple[Mat, Mat], ...]:
+    """Generators of the zip group with a transvection per root; oracle for zip_generators.
+
+    (1 + E_ij, 1) for each root ij of the radical of P', (1, 1 + E_ij) for
+    each root of the radical of P, and per Levi block the scaling (l, F(l))
+    with l = diag(t, 1, ..., 1), then (1 + E_ij, 1 + E_ij) for each ordered
+    pair i != j inside the block.
+    """
+    ff = _points_field(datum, ext)
+    n = datum.n
+    classes = datum.classes
+    k = datum.twist_exponent
+    one = mat_identity(n)
+
+    def elementary(i, j, c):
+        return tuple(
+            tuple(c if (a, b) == (i, j) else one[a][b] for b in range(n))
+            for a in range(n)
+        )
+
+    pairs = [(elementary(i, j, 1), one) for i, j in _block_positions(classes, n, operator.gt)]
+    pairs += [(one, elementary(i, j, 1)) for i, j in _block_positions(classes, n, operator.lt)]
+    for cls in classes:
+        levis = [elementary(cls[0], cls[0], ff.generator)]
+        levis += [elementary(i, j, 1) for i in cls for j in cls if i != j]
+        pairs += [(l, mat_frobenius(ff, l, k)) for l in levis]
+    return tuple(pairs)
+
+
+def coset_forms_by_prefix(ff: FiniteField, classes):
+    """The coset forms of U' in GL_n, each prefix row-reduced and its blocks listed anew.
+
+    Oracle for grouplab._coset_forms: the rows of each class are independent
+    vectors vanishing at the pivots of the rows before it, in `_iter_gl`
+    order.
+    """
+    n = sum(map(len, classes))
+    scalars = range(ff.order)
+
+    def extend(rows, k):
+        if k == len(classes):
+            yield _flat(rows)
+            return
+        _, pivots = _row_reduce(ff, [list(r) for r in rows])
+        free = itertools.product(*((0,) if c in pivots else scalars for c in range(n)))
+        for block in _iter_gl(n, ff, free, len(classes[k])):
+            yield from extend(rows + block, k + 1)
+
+    return extend((), 0)
 
 
 def field_product(field: FiniteField, a: int, b: int) -> int:

@@ -327,6 +327,23 @@ def test_orbits_census_over_extensions_one_to_three_carries_the_identity(capsys)
     assert payload["censuses"][1]["zip_group_order"] == 144
 
 
+def test_orbits_census_over_f49_runs_past_the_point_guard(capsys):
+    # |GL_2(F_49)| = 5 644 800 points pass the guard; its 115 200 cosets of U' do not
+    code, out, _ = run(capsys, "orbits", "--n", "2", "--q", "7", "--ext", "1..2")
+    assert code == 0
+    censuses = json.loads(out)["censuses"]
+    assert [c["ext"] for c in censuses] == [1, 2]
+    for c in censuses:
+        Q = 7 ** c["ext"]
+        assert c["group_order"] == (Q * Q - 1) * (Q * Q - Q)
+        # |E| = |U'| |L| |U| with L the diagonal torus
+        assert c["zip_group_order"] == Q * (Q - 1) ** 2 * Q
+        assert sum(o["size"] for o in c["orbits"]) == c["group_order"]
+        for orbit in c["orbits"]:
+            assert orbit["size"] * orbit["stabilizer_order"] == c["zip_group_order"]
+    assert censuses[1]["group_order"] == 5_644_800
+
+
 def test_orbits_rejects_a_composite_field_size_as_usage_error(capsys):
     assert run(capsys, "orbits", "--n", "2", "--q", "6", "--ext", "1")[0] == 2
     assert run(capsys, "orbits", "--n", "2", "--q", "2", "--ext", "3..1")[0] == 2

@@ -38,6 +38,7 @@ from zipstrata.ffield import (
     mat_is_invertible,
     mat_mul,
     mat_rank,
+    prime_power,
 )
 from zipstrata.grouplab import (
     _double_coset_min,
@@ -66,7 +67,7 @@ from zipstrata.grouplab import (
 from zipstrata.orbits import _compile_moves, _flat
 from zipstrata.zipdatum import stratum_dimension, stratum_poset
 
-from oracles import zip_group_points
+from oracles import coset_forms_by_prefix, zip_generators_per_root, zip_group_points
 
 F2 = get_field(2, 1)
 F3 = get_field(3, 1)
@@ -365,6 +366,79 @@ def test_census_records_match_the_pinned_digest():
     assert digest.hexdigest() == CENSUS_DIGEST
 
 
+# captured at commit 3e0234d, whose census refused data past 2 000 000 points
+# of GL_n, with that guard raised inside the capture script
+@pytest.mark.parametrize(
+    "n,field,blocks,orbits,digest",
+    [
+        (5, F2, (3, 2), 33, "e4de4a057980a05fa3e6f112f52c2049720172ebc3b81a40998ef0d7f0b63989"),
+        (4, F3, (2, 2), 90, "da0fb34807647eeb57c3f036dfc37bee9d229ea1d895bcf5b37b732cdc8f08c3"),
+    ],
+    ids=["GL5-F2-3-2", "GL4-F3-2-2"],
+)
+def test_census_past_the_point_guard_matches_its_pinned_digest(n, field, blocks, orbits, digest):
+    # 9 999 360 and 24 261 120 points pass the guard; 156 240 and 299 520 cosets of U' do not
+    census = zip_orbit_census(make_zip_datum(n, field, levi_of_blocks(blocks)))
+    assert census.group_order == gl_order(n, field.order) > grouplab.ENUMERATION_GUARD
+    assert len(census.orbits) == orbits
+    records = [(r.rep, r.size, r.stabilizer_order, r.cell) for r in census.orbits]
+    assert hashlib.sha256(repr((census.group_order, records)).encode()).hexdigest() == digest
+
+
+def test_census_guard_counts_cosets_before_listing_any(monkeypatch):
+    def no_forms(ff, classes):
+        raise AssertionError("no coset form may be listed")
+
+    monkeypatch.setattr(grouplab, "_coset_forms", no_forms)
+    # GL_3(F_16) with I = {} has 15 790 320 cosets of U', GL_6(F_2) with one block
+    # has all its 20 158 709 760 points as cosets
+    for d in (make_zip_datum(3, get_field(2, 4), ()), make_zip_datum(6, F2, range(1, 6))):
+        with pytest.raises(TooLarge, match="cosets of U'"):
+            zip_orbit_census(d)
+
+
+@pytest.mark.parametrize(
+    "n,field,I,frob_power,ext",
+    [
+        (4, F2, (2,), None, 1),
+        (2, F2, (), None, 3),
+        (2, F2, (), None, 4),
+        (3, F4, (1, 2), None, 1),
+        (3, F4, (1,), None, 1),
+        (3, F3, (), 0, 1),
+        (3, F3, (), 1, 1),
+        (3, F3, (), 2, 1),
+        (4, F2, (1, 3), None, 1),
+        (3, get_field(5, 1), (1,), None, 1),
+    ],
+    ids=[
+        "GL4-F2-I2", "GL2-F2-ext3", "GL2-F2-ext4", "GL3-F4-I12", "GL3-F4-I1",
+        "GL3-F3-e0", "GL3-F3-e1", "GL3-F3-e2", "GL4-F2-blocks22", "GL3-F5-I1",
+    ],
+)
+def test_census_records_are_those_of_the_per_root_generators(
+    monkeypatch, n, field, I, frob_power, ext
+):
+    d = make_zip_datum(n, field, I, frob_power=frob_power)
+    moves = len(_zip_moves(d, ext))
+    adjacent = zip_orbit_census(d, ext)
+    monkeypatch.setattr(grouplab, "zip_generators", zip_generators_per_root)
+    assert len(_zip_moves(d, ext)) >= moves
+    assert zip_orbit_census(d, ext) == adjacent
+
+
+@pytest.mark.parametrize(
+    "n,field,blocks,per_root,adjacent",
+    [(4, F2, (1, 2, 1), 7, 4), (5, F2, (3, 2), 14, 7), (3, F4, (3,), 7, 5)],
+    ids=["GL4-F2-I2", "GL5-F2-3-2", "GL3-F4-one-block"],
+)
+def test_adjacent_roots_cut_the_census_moves(monkeypatch, n, field, blocks, per_root, adjacent):
+    d = make_zip_datum(n, field, levi_of_blocks(blocks))
+    assert len(_zip_moves(d, 1)) == adjacent
+    monkeypatch.setattr(grouplab, "zip_generators", zip_generators_per_root)
+    assert len(_zip_moves(d, 1)) == per_root
+
+
 def _radical_points(d, ff):
     """Every u' of U': the identity on the Levi blocks, any entries below them."""
     ids = grouplab._class_ids(d.classes, d.n)
@@ -377,7 +451,7 @@ def _radical_points(d, ff):
 
 
 @pytest.mark.parametrize(
-    "n,field,I", [(3, F3, ()), (4, F2, (2,))], ids=["GL3-F3", "GL4-F2-I2"]
+    "n,field,I", [(3, F3, ()), (4, F2, (2,)), (4, F2, ())], ids=["GL3-F3", "GL4-F2-I2", "GL4-F2"]
 )
 def test_coset_form_is_the_least_point_of_each_coset(n, field, I):
     d = make_zip_datum(n, field, I)
@@ -395,6 +469,28 @@ def test_coset_form_is_the_least_point_of_each_coset(n, field, I):
     forms = list(grouplab._coset_forms(field, d.classes))
     assert forms == sorted(least)
     assert len(forms) * len(radical) == gl_order(n, field.order)
+
+
+@pytest.mark.parametrize(
+    "n,field,blocks",
+    [
+        (3, F3, (1, 1, 1)),
+        (4, F2, (1, 2, 1)),
+        (4, F2, (1, 1, 1, 1)),
+        (3, F4, (2, 1)),
+        (3, F4, (1, 2)),
+        (2, get_field(3, 2), (1, 1)),
+        (5, F2, (2, 1, 2)),
+        (4, F3, (2, 2)),
+    ],
+    ids=["GL3-F3", "GL4-F2-I2", "GL4-F2", "GL3-F4-2-1", "GL3-F4-1-2", "GL2-F9",
+         "GL5-F2-2-1-2", "GL4-F3-2-2"],
+)
+def test_coset_forms_once_per_pivot_set_equal_the_prefix_oracle(n, field, blocks):
+    classes = make_zip_datum(n, field, levi_of_blocks(blocks)).classes
+    forms = list(grouplab._coset_forms(field, classes))
+    assert forms == list(coset_forms_by_prefix(field, classes))
+    assert all(a < b for a, b in zip(forms, forms[1:])), "strictly increasing"
 
 
 def _apply_ops(ops, x):
@@ -1270,6 +1366,18 @@ def test_the_conjugation_counterexample_certifies_a_two_step_drop():
         assert c.boundary_drop == 2
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_the_trace_determinant_cone_is_the_square_zero_cone(q):
+    field = get_field(*prime_power(q))
+    squares_to_zero = set()
+    for g in product(range(q), repeat=4):
+        n = ((field.sub(g[0], 1), g[1]), (g[2], field.sub(g[3], 1)))
+        if mat_mul(field, n, n) == ((0, 0), (0, 0)):
+            squares_to_zero.add(g)
+    assert grouplab._unipotent_cone(field) == squares_to_zero
+    assert len(squares_to_zero) == q * q
+
+
 def test_the_counterexample_rejects_non_prime_powers():
     with pytest.raises(ValueError):
         counterexample_gl2(6)
@@ -1305,7 +1413,8 @@ def test_counterexample_checks_survive_python_minus_o():
         """
         from zipstrata import grouplab
         assert False, "asserts must be off"
-        # without the inverse the sweep lists the products g u, not the class of u
+        # without the inverses the walk's moves multiply on the left only and
+        # reach all of GL_2(F_2), not the class of u
         grouplab.mat_inv = lambda field, g: ((1, 0), (0, 1))
         try:
             grouplab.counterexample_gl2(2)
@@ -1319,4 +1428,4 @@ def test_counterexample_checks_survive_python_minus_o():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("InvariantError:")
+    assert result.stdout == "InvariantError: the regular unipotent class has 6 points, not q^2 - 1\n"
