@@ -8,16 +8,11 @@ signed-permutation formulas: with the values ordered 1 < 2 < ... < N < -N <
 after w(j), e_i + e_j iff w(i) comes after -w(j), and e_i iff w(i) < 0.  The
 test suite checks these against the action on roots.
 
-Bruhat order compares one integer per element, cached on the element; the
-test suite plays it against the subword characterisation, kept there as the
-oracle.  In types A, B and C that integer is the rank matrix
-(of the doubled permutation in types B and C) packed into fixed-width fields
-with one guard bit each, so that entrywise dominance is a single
-subtraction against the group's guard mask, computed once and cached on the
-group.  In type D it is the element's Bruhat down-set as a bitmask over the
-positions of the interval [e, w0], closed along its up-covers once per group;
-v <= w iff the down-set of v lies inside that of w.  The cached guard of a
-type D group is 0, which selects the down-set test.
+Bruhat order compares rank matrices, of the doubled permutation outside type
+A, packed into guarded fixed-width fields and cached on the element: entrywise
+dominance is one subtraction against the group's guard mask, and type D adds a
+parity condition on cells of the same fields.  The tests check it against the
+subword characterisation and the lifting property.
 
 The minimal coset representatives ^I W of W_I \\ W, in every family, and the
 elements of a parabolic W_K are one walk of ascents w -> w * s_j from e,
@@ -167,22 +162,8 @@ class WeylGroup:
 
     @cached_property
     def _bruhat_guard(self) -> int:
-        """Guard mask of the packed rank keys; 0 in type D, whose keys are down-sets."""
-        if self.family == "D":
-            return 0
+        """Guard mask of the packed rank keys."""
         return _rank_packing(self.npoints if self.family == "A" else 2 * self.rank)[2]
-
-    @cached_property
-    def _bruhat_downsets(self) -> tuple[dict[Window, int], list[int]]:
-        """Type D keys: the positions of [e, w0] and every element's down-set over them."""
-        if self.order > ENUMERATION_GUARD:
-            raise TooLarge("group too large to enumerate")
-        windows, index, up = _lower_interval(longest_element(self))
-        down = [1 << k for k in range(len(windows))]
-        for k, covers in enumerate(up):
-            for c in covers:
-                down[c] |= down[k]
-        return index, down
 
     def __repr__(self) -> str:
         return f"WeylGroup({self.family}{self.rank})"
@@ -234,18 +215,39 @@ class WeylElement:
 
     @cached_property
     def _bruhat_key(self) -> int:
-        return _window_bruhat_key(self.group, self.window)
+        return _rank_key(self.window if self.group.family == "A" else _doubled_window(self.window))
+
+    @cached_property
+    def _parity_cells(self) -> tuple[int, int]:
+        """Type D cells (i, j), 2 <= i, j <= n, at guard bits of the rank key.
+
+        With pi the doubled window, cell (i, j) sits at the guard bit of the
+        entry c(i, j) = #{k <= n + 1 - i : pi(k) >= n + j}.  It is in the first
+        mask when no k in [n + 2 - i, n + i - 1] has pi(k) in [n + 2 - j,
+        n + j - 1], and in the second too when #{k <= n : pi(k) >= n + j} is
+        odd.  As pi(2n + 1 - k) = 2n + 1 - pi(k), positions k <= n decide the
+        boxes; value f first lies in the box of j = n + 2 - f or f - n + 1.
+        """
+        n = len(self.window)
+        first = _doubled_window(self.window)[:n]
+        width = _rank_packing(2 * n)[0] // (2 * n)
+        empty = odd = 0
+        reach = n + 1
+        for i in range(2, n + 1):
+            f = first[n + 1 - i]
+            reach = min(reach, n + 2 - f if f <= n else f - n + 1)
+            for j in range(2, reach):
+                bit = 1 << ((2 * n * (n - i) + n + j) * width - 1)
+                empty |= bit
+                if sum(1 for g in first if g >= n + j) % 2:
+                    odd |= bit
+        return empty, odd
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.window, start=1))
 
     def reduced_word(self) -> tuple[int, ...]:
         return _reduced_word(self)
-
-    def right_descents(self) -> frozenset[int]:
-        return frozenset(
-            i for i in range(1, self.group.rank + 1) if is_right_descent(self, i)
-        )
 
     def left_descents(self) -> frozenset[int]:
         fam, inv = self.group.family, _inverse_window(self.window)
@@ -659,24 +661,25 @@ def _doubled_window(window: Sequence[int]) -> Window:
     return tuple(first) + tuple(top - f for f in reversed(first))
 
 
-def _window_bruhat_key(group: WeylGroup, window: Sequence[int]) -> int:
-    if group.family == "A":
-        return _rank_key(window)
-    if group.family == "D":
-        index, down = group._bruhat_downsets
-        return down[index[tuple(window)]]
-    return _rank_key(_doubled_window(window))
-
-
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Direct Bruhat order test (no word enumeration)."""
+    """Bruhat order by dominance of packed rank keys; enumerates no word, interval or group.
+
+    Type D adds the parity condition of Bjorner-Brenti (Combinatorics of
+    Coxeter Groups, Thm 8.2.8): no cell empty for both may have equal entries
+    and different parities.  The keys agree on the fields whose guard bit
+    the difference loses when 1 is taken from every field.
+    """
     group = v.group
     if w.group is not group and w.group != group:
         raise ValueError("elements of different groups")
     guard = group._bruhat_guard
-    if not guard:
-        return v._bruhat_key & ~w._bruhat_key == 0
-    return ((w._bruhat_key | guard) - v._bruhat_key) & guard == guard
+    diff = (w._bruhat_key | guard) - v._bruhat_key
+    dominated = diff & guard == guard
+    if not dominated or group.family != "D":
+        return dominated
+    (empty_v, odd_v), (empty_w, odd_w) = v._parity_cells, w._parity_cells
+    equal = guard & ~(diff - (guard >> (2 * group.rank).bit_length()))
+    return empty_v & empty_w & equal & (odd_v ^ odd_w) == 0
 
 
 @lru_cache(maxsize=None)

@@ -255,9 +255,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[(-self._log[a]) % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def power(self, a: int, k: int) -> int:
         if a == 0:
             return 0 if k else 1

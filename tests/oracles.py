@@ -2,10 +2,10 @@
 
 Each one computes by exhaustion or by a textbook characterisation what the
 package computes by a faster route, and none of them is reached from
-`src/`: the subword characterisation of Bruhat order, the sign of a root,
-the whole zip group as a list of pairs, a generating set of it with a
-transvection per root, the coset forms listed prefix by prefix, and the
-field product on digit lists.
+`src/`: the subword characterisation of Bruhat order and its lifting
+property, the sign of a root, the whole zip group as a list of pairs, a
+generating set of it with a transvection per root, the coset forms listed
+prefix by prefix, and the field product on digit lists.
 """
 
 import itertools
@@ -54,6 +54,22 @@ def bruhat_leq_subword(v: WeylElement, w: WeylElement) -> bool:
     if v.group != w.group:
         raise ValueError("elements of different groups")
     return v in _bruhat_interval(w)
+
+
+def bruhat_leq_lifting(v: WeylElement, w: WeylElement) -> bool:
+    """Bruhat order by Deodhar's property Z; oracle for bruhat_leq.
+
+    For a right descent s of w, v <= w iff min(v, v * s) <= w * s.  The last
+    letter of a reduced word of w is such an s, so the word is peeled from
+    the right down to e, below which lies only e.
+    """
+    if v.group != w.group:
+        raise ValueError("elements of different groups")
+    for i in reversed(w.reduced_word()):
+        vs = v * w.group.simple_reflection(i)
+        if vs.length < v.length:
+            v = vs
+    return v.is_identity()
 
 
 def zip_group_points(

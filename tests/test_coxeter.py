@@ -6,6 +6,7 @@ deliberately independent of the production implementations they check.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -33,7 +34,7 @@ from zipstrata.coxeter import (
     word_string,
 )
 
-from oracles import bruhat_leq_subword, root_is_positive
+from oracles import bruhat_leq_lifting, bruhat_leq_subword, root_is_positive
 
 
 def W(fam, rank):
@@ -276,9 +277,25 @@ def test_oversized_enumerations_raise_too_large():
         parabolic_elements(create_weyl("A", 10), range(1, 11))
     with pytest.raises(TooLarge, match="group too large"):
         create_weyl("B", 9).elements()
-    d9 = create_weyl("D", 9)
-    with pytest.raises(TooLarge, match="group too large"):
-        bruhat_leq(d9.identity(), d9.simple_reflection(1))
+
+
+def test_a_d12_bruhat_query_enumerates_no_interval_or_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an interval or the whole group was enumerated")
+
+    monkeypatch.setattr(coxeter, "_lower_interval", refuse)
+    monkeypatch.setattr(coxeter, "_all_elements", refuse)
+    d12 = create_weyl("D", 12)
+    w0 = longest_element(d12)
+    below = element_from_word(d12, w0.reduced_word()[1:])
+    tracemalloc.start()
+    try:
+        assert bruhat_leq(below, w0) and not bruhat_leq(w0, below)
+        assert not bruhat_leq(d12.simple_reflection(11), d12.simple_reflection(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def _factorial(n):
@@ -434,29 +451,84 @@ def test_bruhat_leq_across_equal_but_distinct_group_objects():
             bruhat_leq(other.identity(), g.identity())
 
 
-@pytest.mark.parametrize("rank", [3, 4])
-def test_type_d_down_set_path_agrees_with_subword(rank):
-    g = W("D", rank)
-    assert g._bruhat_guard == 0
-    assert W("B", rank)._bruhat_guard != 0
-    els = g.elements()
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_type_d_parity_refinement_agrees_with_subword(rank):
+    els = W("D", rank).elements()
     for v in els:
         for w in els:
             assert bruhat_leq(v, w) == bruhat_leq_subword(v, w)
 
 
+def _dominates(v, w):
+    """Entrywise dominance of the packed rank keys, without type D's parity condition."""
+    guard = v.group._bruhat_guard
+    return ((w._bruhat_key | guard) - v._bruhat_key) & guard == guard
+
+
 def test_doubled_dominance_is_not_a_valid_criterion_in_type_d():
     # In D_2 the two simple reflections are incomparable, yet their doubled
     # permutations 2143 and 3412 are dominance-comparable in S_4.  This is the
-    # reason type D uses the cover-closure implementation.
+    # reason type D adds the parity condition, which in D_4 rejects exactly
+    # the 754 pairs that dominance alone accepts out of order.
     g = W("D", 2)
     s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
+    assert _dominates(s1, s2)
     assert not bruhat_leq(s1, s2)
     assert not bruhat_leq_subword(s1, s2)
     a = W("A", 3)
     assert bruhat_leq(a.element((2, 1, 4, 3)), a.element((3, 4, 1, 2)))
+    d4 = W("D", 4).elements()
+    accepted = [(v, w) for v in d4 for w in d4 if _dominates(v, w) and not bruhat_leq_subword(v, w)]
+    assert len(accepted) == 754
+    assert not any(bruhat_leq(v, w) for v, w in accepted)
 
 
+def _random_d_element(g, rng):
+    n = g.rank
+    window = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), n)]
+    if sum(v < 0 for v in window) % 2:
+        window[0] = -window[0]
+    return g.element(window)
+
+
+def _relation_biased_pairs(g, count, rng):
+    """Pairs (v, w) with v built from a reduced word of w less one letter.
+
+    The shortened word is kept, given one letter more, given one letter less
+    and one more, or has s_{n-1} and s_n swapped throughout; the last kind
+    gives most of the pairs that dominance alone accepts out of order.
+    """
+    n, pairs = g.rank, []
+    while len(pairs) < count:
+        w = _random_d_element(g, rng)
+        word = list(w.reduced_word())
+        if len(word) < 2:
+            continue
+        del word[rng.randrange(len(word))]
+        kind = rng.randrange(4)
+        if kind == 2:
+            del word[rng.randrange(len(word))]
+        if kind in (1, 2):
+            word.insert(rng.randrange(len(word) + 1), rng.randint(1, n))
+        if kind == 3:
+            word = [2 * n - 1 - i if i >= n - 1 else i for i in word]
+        pairs.append((element_from_word(g, word), w))
+    return pairs
+
+
+@pytest.mark.parametrize("rank,count", [(5, 800), (6, 800), (8, 400)])
+def test_type_d_bruhat_order_matches_the_lifting_property_on_seeded_pairs(rank, count):
+    g = W("D", rank)
+    outcomes = {True: 0, False: 0}
+    refined = 0
+    for v, w in _relation_biased_pairs(g, count, random.Random(rank)):
+        for a, b in ((v, w), (w, v)):
+            leq = bruhat_leq(a, b)
+            assert leq == bruhat_leq_lifting(a, b), (a, b)
+            outcomes[leq] += 1
+            refined += _dominates(a, b) and not leq
+    assert min(outcomes.values()) > count // 4
+    assert refined > 0
 def test_bruhat_interval_of_longest_element_is_whole_group():
     g = W("D", 3)
     w0 = longest_element(g)

@@ -15,7 +15,6 @@ from zipstrata.coxeter import (
     InvariantError,
     _compose,
     _lower_interval,
-    _window_bruhat_key,
     bruhat_leq,
     create_weyl,
     diagram_automorphisms,
@@ -218,15 +217,13 @@ def test_covers_found_during_the_order_check_match_the_derived_covers():
 
 
 def _rank_key_rows(z, carrier):
-    """Bit rows by testing the Bruhat key of every translate against that of every label."""
-    group, guard = z.group, z.group._bruhat_guard
+    """Bit rows by testing every translate against every label with bruhat_leq."""
     rows = []
     for wp in carrier:
-        lows = {_window_bruhat_key(group, _compose(_compose(u, wp.window), p)) for u, p in _twist_pairs(z)}
+        lows = {z.group.element(_compose(_compose(u, wp.window), p)) for u, p in _twist_pairs(z)}
         row = 0
         for j, w in enumerate(carrier):
-            high = w._bruhat_key
-            if any(((high | guard) - low) & guard == guard if guard else not low & ~high for low in lows):
+            if any(bruhat_leq(low, w) for low in lows):
                 row |= 1 << j
         rows.append(row)
     return rows
@@ -330,6 +327,32 @@ def test_cover_walk_raises_what_the_relation_walk_raises_on_every_single_bit_fli
 def test_cover_walk_refuses_labels_out_of_length_order():
     with pytest.raises(InvariantError, match="sorted by length"):
         _validate_order((0, 2, 1, 3), (0b1111, 0b1010, 0b1100, 0b1000))
+
+
+# Related pairs (reflexive ones included) of the Ekedahl-Oort labels, I = {1..n-1}:
+# the twisted order against Bruhat order on ^I W.
+EO_RELATION_COUNTS = {
+    ("C", 3): (35, 35),
+    ("C", 4): (126, 126),
+    ("C", 5): (466, 462),
+    ("C", 6): (1750, 1716),
+    ("D", 4): (35, 35),
+    ("D", 5): (126, 126),
+    ("D", 6): (466, 462),
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(EO_RELATION_COUNTS))
+def test_eo_relation_counts_of_the_twisted_and_the_bruhat_order(family, rank):
+    poset = stratum_poset(zip_from_cocharacter(create_weyl(family, rank), range(1, rank)))
+    twisted = sum(row.bit_count() for row in poset.rows)
+    bruhat = sum(bruhat_leq(v, w) for v in poset.carrier for w in poset.carrier)
+    assert (twisted, bruhat) == EO_RELATION_COUNTS[family, rank]
+
+
+def test_the_d7_eo_labels_have_1716_bruhat_relations():
+    carrier = min_coset_reps(create_weyl("D", 7), range(1, 7))
+    assert sum(bruhat_leq(v, w) for v in carrier for w in carrier) == 1716
 
 
 def test_the_interval_of_the_gl8_7_1_datum_has_two_to_the_seventh_windows():
