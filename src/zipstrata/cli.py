@@ -24,9 +24,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .coxeter import InvariantError, ParabolicType, create_weyl, longest_element, word_string
+from .coxeter import InvariantError, ParabolicType, create_weyl, longest_element, min_coset_reps, word_string
 from .ffield import get_field, is_prime, prime_power
-from .fzip import classify, enumerate_strata, fzip_from_json, fzip_type
+from .fzip import classify, fzip_from_json, fzip_type, type_to_parabolic
 from .grouplab import counterexample_gl2, levi_of_blocks, make_zip_datum, zip_group_order, zip_orbit_census
 from .witt import check_reduction, orbit_census_level
 from .zipdatum import (
@@ -240,9 +240,10 @@ def cmd_classify(ns: argparse.Namespace) -> tuple[str, int]:
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed module description: {exc!r}")
     label = classify(z, max_ext=ns.max_ext)
-    poset = enumerate_strata(fzip_type(z))
+    n, par = type_to_parabolic(fzip_type(z))
+    carrier = min_coset_reps(create_weyl("A", n - 1), par)
     length = label.w.length
-    top = max(poset.length_of)
+    top = max(w.length for w in carrier)
     if length == top and length == 0:
         position = "open and closed"
     elif length == top:
@@ -260,7 +261,7 @@ def cmd_classify(ns: argparse.Namespace) -> tuple[str, int]:
                 "length": length,
                 "position": position,
                 "witness_ext": label.certificate.ext,
-                "strata_total": len(poset.carrier),
+                "strata_total": len(carrier),
             }
         )
     else:
@@ -268,7 +269,7 @@ def cmd_classify(ns: argparse.Namespace) -> tuple[str, int]:
             f"{position} stratum, length {length}\n"
             f"label: {word_string(label.w)}\n"
             f"witness extension: {label.certificate.ext}\n"
-            f"strata in the ambient poset: {len(poset.carrier)}\n"
+            f"strata in the ambient poset: {len(carrier)}\n"
         )
     return text, 0
 

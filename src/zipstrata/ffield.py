@@ -1,6 +1,6 @@
 """Exact arithmetic in small finite fields, plus dense linear algebra over them.
 
-Elements of F_{p^(d*ext)} are encoded as integers in range(p**(d*ext)) whose
+Elements of F_{p^degree} are encoded as integers in range(p**degree) whose
 base-p digits are the coefficients of a polynomial in the canonical generator,
 reduced modulo the lexicographically smallest monic irreducible polynomial of
 the right degree.  Matrices are tuples of row tuples of such integers.  All
@@ -135,25 +135,20 @@ def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """The field with p**(d*ext) elements, viewed as degree-ext extension of F_{p**d}.
+    """The field with p**degree elements; get_field shares one object per field.
 
-    Attributes p, d, ext match that reading: q = p**d is the base order and
-    order = q**ext the actual size.  Arithmetic only depends on p and d*ext.
     The tables grow with the order, so a field with more than
     ENUMERATION_GUARD elements is refused with TooLarge before any is built.
     """
 
-    def __init__(self, p: int, d: int, ext: int = 1) -> None:
+    def __init__(self, p: int, degree: int) -> None:
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
-        if d < 1 or ext < 1:
-            raise ValueError("degrees must be positive")
+        if degree < 1:
+            raise ValueError("the degree must be positive")
         self.p = p
-        self.d = d
-        self.ext = ext
-        self.degree = d * ext
-        self.q = p**d
-        self.order = p ** (d * ext)
+        self.degree = degree
+        self.order = p**degree
         if self.order > ENUMERATION_GUARD:
             raise TooLarge(f"a field of {self.order} elements passes the enumeration guard")
         self.modulus = smallest_irreducible(p, self.degree)
@@ -317,12 +312,13 @@ class FiniteField:
         return table
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"FiniteField(p={self.p}, d={self.d}, ext={self.ext})"
+        return f"FiniteField(p={self.p}, degree={self.degree})"
 
 
 @lru_cache(maxsize=None)
-def get_field(p: int, d: int, ext: int = 1) -> FiniteField:
-    return FiniteField(p, d, ext)
+def get_field(p: int, degree: int) -> FiniteField:
+    """The one shared FiniteField of order p**degree."""
+    return FiniteField(p, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ Conventions used throughout:
 - Semilinear maps are recorded as matrices in those graded bases; they twist
   by the q-power Frobenius of the working field.
 - Weights of multiplicity zero are never stored.
+- D is read as the descending filtration of the negated weights:
+  `_flip(D)` stores D_i at weight -i, so D_i = flip(D)^(-i) and every
+  filtration routine is written once, for descending filtrations, and
+  applied to C and to `_flip(D)`.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .ffield import (
     prime_power,
     solve_right,
 )
-from .grouplab import levi_of_blocks, make_zip_datum, zip_orbit_search
+from .grouplab import levi_of_blocks, make_zip_datum, stratum_rep, zip_orbit_search
 from .zipdatum import StratumPoset, stratum_poset, zip_from_cocharacter
 
 __all__ = [
@@ -222,7 +226,12 @@ def _contains(field: FiniteField, big: Mat, small: Mat) -> bool:
     return True
 
 
-def _space_c_at(stored: Pairs, n: int, i: int) -> Mat:
+def _flip(stored: Pairs) -> Pairs:
+    """An ascending filtration as the descending one of the negated weights."""
+    return tuple((-i, mat) for i, mat in reversed(stored))
+
+
+def _space_at(stored: Pairs, n: int, i: int) -> Mat:
     """Descending filtration read at an arbitrary weight."""
     for j, mat in stored:
         if i <= j:
@@ -230,14 +239,39 @@ def _space_c_at(stored: Pairs, n: int, i: int) -> Mat:
     return _zero_space(n)
 
 
-def _space_d_at(stored: Pairs, n: int, i: int) -> Mat:
-    """Ascending filtration read at an arbitrary weight."""
-    out = _zero_space(n)
-    for j, mat in stored:
-        if j <= i:
-            out = mat
-        else:
-            break
+def _graded_bases(stored: Pairs, n: int) -> dict[int, Mat]:
+    """Graded basis of a descending filtration at each stored weight."""
+    smaller = [mat for _, mat in stored[1:]] + [_zero_space(n)]
+    return {i: _graded_basis(mat, nxt) for (i, mat), nxt in zip(stored, smaller)}
+
+
+def _filtration_multiplicities(
+    field: FiniteField, n: int, stored: Pairs, side: str, verb: str
+) -> dict[int, int]:
+    """Check a stored descending filtration; its multiplicity at each weight."""
+    widths = [_width(m) for _, m in stored]
+    if widths[0] != n:
+        raise ValueError(f"the largest {side} space must be everything")
+    if widths[-1] < 1 or any(a <= b for a, b in zip(widths, widths[1:])):
+        raise ValueError(f"{side} must {verb} strictly through its stored weights")
+    for (_, big), (_, small) in zip(stored, stored[1:]):
+        if not _contains(field, big, small):
+            raise ValueError(f"{side} spaces are not nested")
+    return {i: w - nxt for (i, _), w, nxt in zip(stored, widths, widths[1:] + [0])}
+
+
+def _field_matrix(
+    field: FiniteField, mat, rows: int, cols: Optional[int], what: str
+) -> Mat:
+    """mat as integer codes in the field, rows x cols (cols None: any one width)."""
+    out = tuple(tuple(int(x) for x in row) for row in mat)
+    widths = {len(row) for row in out}
+    if len(out) != rows or len(widths) > 1 or (cols is not None and widths != {cols}):
+        shape = f"{rows} rows of one length" if cols is None else f"{rows} x {cols}"
+        raise ValueError(f"{what} must be {shape}")
+    bad = [x for row in out for x in row if not 0 <= x < field.order]
+    if bad:
+        raise ValueError(f"entry {bad[0]} is outside the working field")
     return out
 
 
@@ -250,15 +284,7 @@ def _canonical_spaces(field: FiniteField, n: int, pairs, side: str) -> Pairs:
         i = int(i)
         if i in seen:
             raise ValueError(f"weight {i} appears twice in {side}")
-        rows = tuple(tuple(int(x) for x in row) for row in mat)
-        if len(rows) != n:
-            raise ValueError(f"{side} spaces need {n} rows")
-        if len({len(r) for r in rows}) > 1:
-            raise ValueError(f"ragged matrix at weight {i} in {side}")
-        for row in rows:
-            for x in row:
-                if not 0 <= x < field.order:
-                    raise ValueError(f"entry {x} is outside the working field")
+        rows = _field_matrix(field, mat, n, None, f"the {side} space at weight {i}")
         seen[i] = column_echelon(field, rows)
     return tuple(sorted(seen.items()))
 
@@ -299,34 +325,9 @@ class FZipConcrete:
         field = get_field(self.p, e * self.ext_deg)
         C = _canonical_spaces(field, self.n, self.C, "C")
         D = _canonical_spaces(field, self.n, self.D, "D")
-
-        cw = [_width(m) for _, m in C]
-        if cw[0] != self.n:
-            raise ValueError("the largest C space must be everything")
-        if cw[-1] < 1 or any(a <= b for a, b in zip(cw, cw[1:])):
-            raise ValueError("C must descend strictly through its stored weights")
-        for (_, big), (_, small) in zip(C, C[1:]):
-            if not _contains(field, big, small):
-                raise ValueError("C spaces are not nested")
-
-        dw = [_width(m) for _, m in D]
-        if dw[-1] != self.n:
-            raise ValueError("the largest D space must be everything")
-        if dw[0] < 1 or any(a >= b for a, b in zip(dw, dw[1:])):
-            raise ValueError("D must ascend strictly through its stored weights")
-        for (_, small), (_, big) in zip(D, D[1:]):
-            if not _contains(field, big, small):
-                raise ValueError("D spaces are not nested")
-
-        mult_c = {
-            i: w - nxt
-            for (i, _), w, nxt in zip(C, cw, cw[1:] + [0])
-        }
-        mult_d = {
-            i: w - prv
-            for (i, _), w, prv in zip(D, dw, [0] + dw[:-1])
-        }
-        if mult_c != mult_d:
+        mult = _filtration_multiplicities(field, self.n, C, "C", "descend")
+        flipped = _filtration_multiplicities(field, self.n, _flip(D), "D", "ascend")
+        if mult != {-i: m for i, m in flipped.items()}:
             raise ValueError("the filtrations induce different multiplicity patterns")
 
         phi_seen: dict[int, Mat] = {}
@@ -335,20 +336,14 @@ class FZipConcrete:
             i = int(i)
             if i in phi_seen:
                 raise ValueError(f"weight {i} appears twice in phi")
-            rows = tuple(tuple(int(x) for x in row) for row in mat)
-            phi_seen[i] = rows
-        if sorted(phi_seen) != sorted(mult_c):
+            phi_seen[i] = mat
+        if sorted(phi_seen) != sorted(mult):
             raise ValueError("phi must store exactly the weights where the type jumps")
-        for i, rows in phi_seen.items():
-            m = mult_c[i]
-            if len(rows) != m or any(len(r) != m for r in rows):
-                raise ValueError(f"the glue at weight {i} must be {m} x {m}")
-            for row in rows:
-                for x in row:
-                    if not 0 <= x < field.order:
-                        raise ValueError(f"entry {x} is outside the working field")
-            if not mat_is_invertible(field, rows):
-                raise ValueError(f"the glue at weight {i} is singular")
+        for i, mat in phi_seen.items():
+            what = f"the glue at weight {i}"
+            phi_seen[i] = _field_matrix(field, mat, mult[i], mult[i], what)
+            if not mat_is_invertible(field, phi_seen[i]):
+                raise ValueError(f"{what} is singular")
 
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
@@ -373,21 +368,10 @@ def fzip_type(z: FZipConcrete) -> FZipType:
     )
 
 
-def _c_graded_bases(z: FZipConcrete) -> dict[int, Mat]:
-    out = {}
-    for k, (i, mat) in enumerate(z.C):
-        nxt = z.C[k + 1][1] if k + 1 < len(z.C) else _zero_space(z.n)
-        out[i] = _graded_basis(mat, nxt)
-    return out
-
-
-def _d_graded_bases(z: FZipConcrete) -> dict[int, Mat]:
-    out = {}
-    prev = _zero_space(z.n)
-    for i, mat in z.D:
-        out[i] = _graded_basis(mat, prev)
-        prev = mat
-    return out
+def _graded_pieces(C: Pairs, D: Pairs, n: int) -> tuple[dict[int, Mat], dict[int, Mat]]:
+    """Graded bases of C and of D, both keyed by the weights of the datum."""
+    flipped = _graded_bases(_flip(D), n)
+    return _graded_bases(C, n), {-i: basis for i, basis in flipped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +410,7 @@ def fzip_from_group_element(
     n = t.total_rank
     if n < 1:
         raise ValueError("the type has rank zero")
-    g = tuple(tuple(int(x) for x in row) for row in g)
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ValueError(f"the matrix must be {n} x {n} for this type")
-    for row in g:
-        for x in row:
-            if not 0 <= x < field.order:
-                raise ValueError(f"entry {x} is outside the working field")
+    g = _field_matrix(field, g, n, n, "the matrix")
     if not mat_is_invertible(field, g):
         raise ValueError("the matrix is singular")
 
@@ -468,13 +446,7 @@ def standard_zip(
     n, par = type_to_parabolic(t)
     if n < 2:
         raise ValueError("rank-one types have a single stratum")
-    comb = zip_from_cocharacter(create_weyl("A", n - 1), par, gl_center=True)
-    if w.group != comb.group:
-        raise ValueError("the label lives in the wrong Weyl group")
-    for i in par:
-        if (comb.group.simple_reflection(i) * w).length < w.length:
-            raise ValueError("the label is not minimal in its coset")
-    rep = _perm_matrix(w * comb.theta0)
+    rep = stratum_rep(make_zip_datum(n, get_field(p, 1), par), w)
     return fzip_from_group_element(t, rep, p=p, q=q, ext_deg=ext_deg)
 
 
@@ -492,15 +464,8 @@ def dieudonne_to_fzip(
     n = len(F_mat)
     if n < 1:
         raise ValueError("the operators act on a zero space")
-    for name, mat in (("F", F_mat), ("V", V_mat)):
-        if len(mat) != n or any(len(row) != n for row in mat):
-            raise ValueError(f"{name} must be a square matrix of the same size")
-        for row in mat:
-            for x in row:
-                if not 0 <= int(x) < ff.order:
-                    raise ValueError(f"entry {x} is outside the working field")
-    F_mat = tuple(tuple(int(x) for x in row) for row in F_mat)
-    V_mat = tuple(tuple(int(x) for x in row) for row in V_mat)
+    F_mat = _field_matrix(ff, F_mat, n, n, "F")
+    V_mat = _field_matrix(ff, V_mat, n, n, "V")
 
     deg = ff.degree
     im_f = column_echelon(ff, F_mat)
@@ -579,35 +544,30 @@ def tensor(a: FZipConcrete, b: FZipConcrete) -> FZipConcrete:
     t = ta.convolve(tb)
     sa, sb = ta.support, tb.support
 
-    c_spaces: dict[int, Mat] = {}
-    d_spaces: dict[int, Mat] = {}
-    for i in t.support:
-        terms = []
-        for j in range(i - sb[-1], sa[-1] + 1):
-            ca = _space_c_at(a.C, a.n, j)
-            cb = _space_c_at(b.C, b.n, i - j)
-            if _width(ca) and _width(cb):
-                terms.append(_kron(field, ca, cb))
-        c_spaces[i] = column_echelon(field, mat_hstack(terms))
-        terms = []
-        for j in range(sa[0], i - sb[0] + 1):
-            da = _space_d_at(a.D, a.n, j)
-            db = _space_d_at(b.D, b.n, i - j)
-            if _width(da) and _width(db):
-                terms.append(_kron(field, da, db))
-        d_spaces[i] = column_echelon(field, mat_hstack(terms))
+    def product(fa: Pairs, fb: Pairs, weights: Sequence[int]) -> Pairs:
+        # the span of fa^j (x) fb^(i-j) over all j, at each weight i
+        out = []
+        for i in weights:
+            terms = []
+            for j in range(i - fb[-1][0], fa[-1][0] + 1):
+                xa, xb = _space_at(fa, a.n, j), _space_at(fb, b.n, i - j)
+                if _width(xa) and _width(xb):
+                    terms.append(_kron(field, xa, xb))
+            out.append((i, column_echelon(field, mat_hstack(terms))))
+        return tuple(out)
 
-    ua, va = _c_graded_bases(a), _d_graded_bases(a)
-    ub, vb = _c_graded_bases(b), _d_graded_bases(b)
+    C = product(a.C, b.C, t.support)
+    flipped = product(_flip(a.D), _flip(b.D), t.reflect().support)
+    D = _flip(flipped)
+    ua, va = _graded_pieces(a.C, a.D, a.n)
+    ub, vb = _graded_pieces(b.C, b.D, b.n)
+    uc, vd = _graded_pieces(C, D, n)
     pa, pb = dict(a.phi), dict(b.phi)
 
-    supp = t.support
     phi_pairs = []
-    for k, i in enumerate(supp):
-        nxt = c_spaces[supp[k + 1]] if k + 1 < len(supp) else _zero_space(n)
-        prev = d_spaces[supp[k - 1]] if k else _zero_space(n)
-        u_basis = _graded_basis(c_spaces[i], nxt)
-        v_basis = _graded_basis(d_spaces[i], prev)
+    for i in t.support:
+        nxt, prev = _space_at(C, n, i + 1), _space_at(flipped, n, 1 - i)
+        u_basis, v_basis = uc[i], vd[i]
         blocks = [(j, i - j) for j in sa if (i - j) in set(sb)]
         kmat = mat_hstack([_kron(field, ua[j], ub[kk]) for j, kk in blocks])
         lmat = mat_hstack([_kron(field, va[j], vb[kk]) for j, kk in blocks])
@@ -621,15 +581,7 @@ def tensor(a: FZipConcrete, b: FZipConcrete) -> FZipConcrete:
         )
         phi_pairs.append((i, composite))
 
-    return FZipConcrete(
-        a.p,
-        a.q,
-        a.ext_deg,
-        n,
-        tuple(sorted(c_spaces.items())),
-        tuple(sorted(d_spaces.items())),
-        tuple(phi_pairs),
-    )
+    return FZipConcrete(a.p, a.q, a.ext_deg, n, C, D, tuple(phi_pairs))
 
 
 def _annihilator(field: FiniteField, n: int, mat: Mat) -> Mat:
@@ -646,24 +598,22 @@ def dual(a: FZipConcrete) -> FZipConcrete:
     supp = fzip_type(a).support
     dsupp = tuple(sorted(-i for i in supp))
 
+    flipped = _flip(a.D)
     C_pairs = tuple(
-        (j, _annihilator(field, n, _space_c_at(a.C, n, 1 - j))) for j in dsupp
+        (j, _annihilator(field, n, _space_at(a.C, n, 1 - j))) for j in dsupp
     )
     D_pairs = tuple(
-        (j, _annihilator(field, n, _space_d_at(a.D, n, -1 - j))) for j in dsupp
+        (j, _annihilator(field, n, _space_at(flipped, n, 1 + j))) for j in dsupp
     )
 
-    ua, va = _c_graded_bases(a), _d_graded_bases(a)
+    ua, va = _graded_pieces(a.C, a.D, n)
+    u_dual, v_dual = _graded_pieces(C_pairs, D_pairs, n)
     pa = dict(a.phi)
     phi_pairs = []
-    for k, j in enumerate(dsupp):
-        nxt = C_pairs[k + 1][1] if k + 1 < len(C_pairs) else _zero_space(n)
-        prev = D_pairs[k - 1][1] if k else _zero_space(n)
-        u_dual = _graded_basis(C_pairs[k][1], nxt)
-        v_dual = _graded_basis(D_pairs[k][1], prev)
+    for j in dsupp:
         # graded pairings between the dual classes and the original ones
-        m_pair = mat_mul(field, mat_transpose(u_dual), ua[-j])
-        n_pair = mat_mul(field, mat_transpose(v_dual), va[-j])
+        m_pair = mat_mul(field, mat_transpose(u_dual[j]), ua[-j])
+        n_pair = mat_mul(field, mat_transpose(v_dual[j]), va[-j])
         glue = mat_mul(
             field,
             mat_mul(
@@ -700,19 +650,10 @@ class StratumLabel:
     certificate: Optional[ClassifyWitness] = None
 
 
-def _perm_matrix(w: WeylElement) -> Mat:
-    win = w.window
-    n = len(win)
-    return tuple(
-        tuple(1 if win[j] == i + 1 else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def attached_group_element(z: FZipConcrete) -> Mat:
     """Matrix comparing the C-adapted basis with the lifted glue images in D."""
     field = z.field
-    u_bases = _c_graded_bases(z)
-    v_bases = _d_graded_bases(z)
+    u_bases, v_bases = _graded_pieces(z.C, z.D, z.n)
     cmats, dmats = [], []
     for i, glue in z.phi:
         cmats.append(u_bases[i])
@@ -736,9 +677,8 @@ def classify(z: FZipConcrete, max_ext: int = 3) -> StratumLabel:
         raise ValueError("rank-one data form a single stratum; nothing to locate")
     base = get_field(z.p, z.frob_exp)
     datum = make_zip_datum(n, base, par)
-    theta0 = datum.shadow().theta0
     carrier = min_coset_reps(datum.weyl, datum.I)
-    targets = tuple(_perm_matrix(w * theta0) for w in carrier)
+    targets = tuple(stratum_rep(datum, w) for w in carrier)
     g = attached_group_element(z)
     for s in range(z.ext_deg, max_ext + 1):
         if s % z.ext_deg:

@@ -639,6 +639,13 @@ def _stratum_rep_perm(datum: ZipDatumGroupLevel, w: WeylElement) -> tuple[int, .
     return _perm_of_element(w * _twist_element(datum))
 
 
+def stratum_rep(datum: ZipDatumGroupLevel, w: WeylElement) -> Mat:
+    """The permutation matrix of w * theta0, a point of the stratum labelled w."""
+    _require_stratum_label(datum, w)
+    perm = _stratum_rep_perm(datum, w)
+    return tuple(tuple(int(perm[j] == i) for j in range(datum.n)) for i in range(datum.n))
+
+
 def reduce_datum(datum: ZipDatumGroupLevel, w: WeylElement) -> ReductionStep:
     """Reduce the stratum labelled w to its zip datum one layer down."""
     _require_stratum_label(datum, w)

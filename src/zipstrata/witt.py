@@ -885,6 +885,10 @@ def _coded_orbits(ring: GaloisRing, n: int, d_block: int) -> list[tuple[tuple[in
     space = ring.size ** (n * n)
     if space > ENUMERATION_GUARD:
         raise TooLarge(f"the level-{ring.m} matrix space has {space} points")
+    # the walk's sum tables fill up to ring.size rows of ring.size entries
+    entries = ring.size**2
+    if entries > ENUMERATION_GUARD:
+        raise TooLarge(f"the level-{ring.m} sum tables need {entries} entries")
     order = display_group_order(ring, n, d_block)
     moves = _display_moves(ring, n, d_block, _elements_by_code(ring))
     points = _invertible_codes(ring, n)

@@ -5,7 +5,8 @@ package computes by a faster route, and none of them is reached from
 `src/`: the subword characterisation of Bruhat order and its lifting
 property, the sign of a root, the whole zip group as a list of pairs, a
 generating set of it with a transvection per root, the coset forms listed
-prefix by prefix, and the field product on digit lists.
+prefix by prefix, the field product on digit lists, and an ascending
+filtration read at a weight directly rather than as a flipped descending one.
 """
 
 import itertools
@@ -149,3 +150,13 @@ def field_product(field: FiniteField, a: int, b: int) -> int:
     """a * b on digit lists, one polynomial product and reduction; oracle for the tables."""
     digits = _coeff_mul(field._digits(a), field._digits(b), field.modulus, field.p)
     return field._from_digits(digits)
+
+
+def ascending_space_at(stored, n: int, i: int) -> Mat:
+    """An ascending filtration, stored as sorted (weight, space) jumps, read at weight i."""
+    out = tuple(() for _ in range(n))
+    for j, mat in stored:
+        if j > i:
+            break
+        out = mat
+    return out

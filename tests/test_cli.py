@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from zipstrata import witt
 from zipstrata.cli import main
 from zipstrata.ffield import FiniteField
 from zipstrata.fzip import dieudonne_to_fzip, fzip_to_json
@@ -393,6 +394,20 @@ def test_witt_parameter_validation_exits_with_code_two(capsys):
     assert run(
         capsys, "witt", "--p", "2", "--d", "1", "--m", "2", "--n", "2", "--d-block", "3"
     )[0] == 2
+
+
+@pytest.mark.parametrize("extra", [(), ("--check-reduction",)])
+def test_witt_refuses_oversized_sum_tables_before_the_walk(capsys, monkeypatch, extra):
+    # GL_1 over F_4096 passes the matrix-space guard, but the walk's sum
+    # tables would hold 4096 rows of 4096 entries
+    def no_walk(*args):
+        raise AssertionError("no display orbit may be walked")
+
+    monkeypatch.setattr(witt, "_display_moves", no_walk)
+    code, out, err = run(capsys, "witt", "--p", "2", "--d", "12", "--m", "1", "--n", "1", *extra)
+    assert code == 3
+    assert out == ""
+    assert "sum tables need 16777216 entries" in err
 
 
 # sha256 of stdout, captured before the display orbits were walked with

@@ -181,7 +181,7 @@ def test_frobenius_is_a_field_automorphism_of_the_right_order(p, d):
 def test_embedding_is_a_field_homomorphism():
     small = get_field(2, 1)
     mid = get_field(2, 2)
-    big = get_field(2, 3, 2)  # F_64 viewed over F_8
+    big = get_field(2, 6)
     for target in (mid, big):
         emb = target.embedding_from(small)
         assert emb[0] == 0 and emb[1] == 1
@@ -195,11 +195,14 @@ def test_embedding_is_a_field_homomorphism():
 
 
 def test_extension_bookkeeping_shares_arithmetic():
+    # a field is named by its characteristic and degree alone, so every
+    # request for F_16 gets the one object and its tables
     plain = get_field(2, 4)
-    layered = get_field(2, 2, 2)
-    assert plain.order == layered.order == 16
-    assert layered.q == 4 and layered.ext == 2
-    assert plain.modulus == layered.modulus
+    assert get_field(2, 4) is plain
+    assert plain.order == 16 and plain.degree == 4
+    assert not hasattr(plain, "ext")
+    with pytest.raises(TypeError):
+        get_field(2, 2, 2)
 
 
 def _random_matrix(F, rng, n, m):

@@ -1,13 +1,17 @@
 """Tests for filtered Frobenius data: builders, tensor/dual, classification."""
 
+import hashlib
 import json
 import random
+from functools import lru_cache
 
 import pytest
 
 from zipstrata.coxeter import create_weyl, min_coset_reps
 from zipstrata.ffield import get_field, mat_inv, mat_mul
 from zipstrata.fzip import (
+    _flip,
+    _space_at,
     FZipConcrete,
     FZipType,
     ImKerMismatch,
@@ -28,7 +32,7 @@ from zipstrata.fzip import (
 )
 from zipstrata.grouplab import gl_points, make_zip_datum, zip_orbit_census
 
-from oracles import zip_group_points
+from oracles import ascending_space_at, zip_group_points
 
 FF2 = get_field(2, 1)
 FF3 = get_field(3, 1)
@@ -138,6 +142,16 @@ def test_concrete_data_reject_bad_field_shape_and_rank():
         FZipConcrete(2, 2, 0, 1, one, one, one)
     with pytest.raises(ValueError):
         FZipConcrete(2, 2, 1, 0, (), (), ())
+    ident = ((1, 0), (0, 1))
+    for bad, match in (
+        (((1, 0),), "must be 2 rows"),
+        (((1, 0), (0,)), "must be 2 rows"),
+        (((1, 0), (0, 2)), "entry 2 is outside"),
+    ):
+        for side in ("C", "D"):
+            spaces = {"C": ((0, ident),), "D": ((0, ident),), side: ((0, bad),)}
+            with pytest.raises(ValueError, match=match):
+                FZipConcrete(2, 2, 1, 2, phi=((0, ident),), **spaces)
 
 
 def test_concrete_data_reject_mismatched_filtration_patterns():
@@ -183,6 +197,9 @@ def test_concrete_data_reject_bad_glue():
         FZipConcrete(2, 2, 1, 2, phi=((0, ((1,),)), (2, ((1,),))), **spaces)
     with pytest.raises(ValueError):
         FZipConcrete(2, 2, 1, 2, phi=((0, ((5,),)), (1, ((1,),))), **spaces)
+    for bad in (((1,), (1,)), ((1, 1),), (), ((1,), ())):
+        with pytest.raises(ValueError, match="glue at weight 1 must be 1 x 1"):
+            FZipConcrete(2, 2, 1, 2, phi=((0, ((1,),)), (1, bad)), **spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +234,9 @@ def test_group_element_builder_validates_its_input():
         fzip_from_group_element(TWO_LINES, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError):
         fzip_from_group_element(TWO_LINES, ((1, 5), (0, 1)))
+    for bad in (((1, 0),), ((1, 0), (0,)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="matrix must be 2 x 2"):
+            fzip_from_group_element(TWO_LINES, bad)
 
 
 def test_standard_zip_rejects_non_minimal_labels_and_wrong_groups():
@@ -276,6 +296,20 @@ def test_operator_pairs_reject_exactness_failures_by_name():
         dieudonne_to_fzip(((1, 0), (0, 1)), ((1, 0), (0, 1)))
     with pytest.raises(ImKerMismatch, match="image of F"):
         dieudonne_to_fzip(((1, 0), (0, 0)), ((0, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("name", ["F", "V"])
+def test_operator_pairs_reject_malformed_matrices(name):
+    # F's row count sets the size, so a short F makes V the wrong shape
+    for bad, match in (
+        (((0, 0),), "[FV] must be [12] x [12]"),
+        (((0, 0), (0,)), f"{name} must be 2 x 2"),
+        (((0, 0, 0), (0, 0, 0)), f"{name} must be 2 x 2"),
+        (((0, 2), (0, 0)), "entry 2 is outside"),
+    ):
+        pair = dict(zip("FV", SUPERSINGULAR), **{name: bad})
+        with pytest.raises(ValueError, match=match):
+            dieudonne_to_fzip(pair["F"], pair["V"])
 
 
 def test_operator_pairs_work_over_extension_fields():
@@ -348,6 +382,40 @@ def test_dual_reflects_types_and_is_an_exact_involution():
         assert dual(dz) == z
     prod = tensor(dieudonne_to_fzip(*ORDINARY), dieudonne_to_fzip(*SUPERSINGULAR))
     assert dual(dual(prod)) == prod
+
+
+@lru_cache(maxsize=None)
+def _filtration_modules() -> tuple[FZipConcrete, ...]:
+    """The modules of every g in GL_2(F_3) and GL_3(F_2), then both operator pairs."""
+    mods = [fzip_from_group_element(TWO_LINES, g, p=3) for g in gl_points(2, FF3)]
+    t = FZipType.of({0: 1, 1: 2})
+    mods += [fzip_from_group_element(t, g) for g in gl_points(3, FF2)]
+    return tuple(mods + [dieudonne_to_fzip(*ORDINARY), dieudonne_to_fzip(*SUPERSINGULAR)])
+
+
+def test_flipped_d_reads_as_the_ascending_filtration_at_every_weight():
+    for z in _filtration_modules():
+        for m in (z, dual(z), tensor(z, tate_zip(3, z.p))):
+            support = fzip_type(m).support
+            for i in range(support[0] - 1, support[-1] + 2):
+                assert _space_at(_flip(m.D), m.n, -i) == ascending_space_at(m.D, m.n, i)
+
+
+# sha256 over the JSON of the dual of every module above and of the tensor of
+# each neighbouring pair over one field, captured while D still had its own
+# ascending reader and tensor its own D convolution
+DUAL_TENSOR_DIGEST = "1e26ca76013e4ef3ab0ba539759a4ab4d5099856efc44b97c3c0073d60aad14e"
+
+
+def test_duals_and_tensors_keep_their_pinned_bytes():
+    mods = _filtration_modules()
+    h = hashlib.sha256()
+    for z in mods:
+        h.update(fzip_to_json(dual(z)).encode())
+    for a, b in zip(mods, mods[1:]):
+        if a.p == b.p:
+            h.update(fzip_to_json(tensor(a, b)).encode())
+    assert h.hexdigest() == DUAL_TENSOR_DIGEST
 
 
 def test_dual_preserves_the_stratum_of_the_rank_two_shapes():

@@ -59,6 +59,7 @@ from zipstrata.grouplab import (
     stratum_point_count,
     stratum_point_counts,
     stratum_point_polynomial,
+    stratum_rep,
     zip_generators,
     zip_group_order,
     zip_orbit_census,
@@ -198,11 +199,19 @@ def test_stratum_labels_must_be_minimal_coset_representatives():
     d = make_zip_datum(3, F2, (1,))
     s1 = element_from_word(d.weyl, (1,))
     other = element_from_word(create_weyl("A", 3), ())
-    for entry in (stratum_point_count, stratum_point_polynomial):
+    for entry in (stratum_point_count, stratum_point_polynomial, stratum_rep):
         with pytest.raises(ValueError):
             entry(d, s1)
         with pytest.raises(ValueError):
             entry(d, other)
+    # the permutation matrices of w * theta0, theta0 = (s2 s1)^-1 here
+    reps = {
+        (): ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+        (2,): ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        (2, 1): ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    }
+    for word, rep in reps.items():
+        assert stratum_rep(d, element_from_word(d.weyl, word)) == rep
 
 
 # ---------------------------------------------------------------------------
