@@ -728,31 +728,18 @@ def fzip_to_json(z: FZipConcrete) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer; floats, strings and booleans are malformed."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
 def fzip_from_json(text: str) -> FZipConcrete:
     """Inverse of fzip_to_json; malformed input raises ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("the document must be a JSON object")
-    try:
-        p = int(data["p"])
-        q = int(data["q"])
-        ext_deg = int(data["ext_deg"])
-        n = int(data["n"])
-        c_list, d_list, phi_list = data["C"], data["D"], data["phi"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"missing or malformed field: {exc}") from exc
-    if not all(isinstance(v, list) for v in (c_list, d_list, phi_list)):
-        raise ValueError("C, D and phi must be arrays")
-    e = _exp_of(p, q)
-    ff = get_field(p, e * ext_deg)
-
-    def decode(coeffs) -> int:
-        if not isinstance(coeffs, list):
-            raise ValueError("field elements must be coefficient arrays")
-        try:
-            return ff.element_from_coeffs([int(c) for c in coeffs])
-        except TypeError as exc:
-            raise ValueError(f"malformed coefficient: {exc}") from exc
 
     def entry(item, key: str):
         try:
@@ -761,10 +748,19 @@ def fzip_from_json(text: str) -> FZipConcrete:
             raise ValueError(f"missing or malformed field: {exc}") from exc
 
     def integer(item, key: str) -> int:
-        try:
-            return int(entry(item, key))
-        except TypeError as exc:
-            raise ValueError(f"malformed field {key}: {exc}") from exc
+        return _json_int(entry(item, key), f"field {key}")
+
+    p, q, ext_deg, n = (integer(data, key) for key in ("p", "q", "ext_deg", "n"))
+    c_list, d_list, phi_list = (entry(data, key) for key in ("C", "D", "phi"))
+    if not all(isinstance(v, list) for v in (c_list, d_list, phi_list)):
+        raise ValueError("C, D and phi must be arrays")
+    e = _exp_of(p, q)
+    ff = get_field(p, e * ext_deg)
+
+    def decode(coeffs) -> int:
+        if not isinstance(coeffs, list):
+            raise ValueError("field elements must be coefficient arrays")
+        return ff.element_from_coeffs([_json_int(c, "a coefficient") for c in coeffs])
 
     def space_pairs(items) -> tuple:
         out = []

@@ -19,6 +19,15 @@ Conventions
 * The strict upper block of a display element stores the preimage B~ with
   B = V(B~); sigma_mu is then a plain block rearrangement and iota costs one
   Verschiebung per entry.
+* At d = 1 the ring is Z/p**m and every operation acts on the one
+  coefficient as an integer: sigma is the identity, V is multiplication by
+  p, and a unit is inverted by pow(c, -1, p**m).  Rings with d >= 2 multiply
+  polynomials modulo the modulus and apply sigma, sigma**-1 and V as
+  coefficient tables.
+* Coefficients and modulus entries must be integers (operator.index):
+  floats and strings raise TypeError.
+* Matrices are inverted by Gauss-Jordan elimination, each pivot the first
+  unit left in its column, and the result is checked by one product.
 * Census functions enumerate complete matrix spaces and refuse anything past
   the guard with TooLarge instead of sampling.
 """
@@ -28,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterator, Sequence, Union
 
 from .coxeter import ENUMERATION_GUARD, InvariantError, TooLarge
@@ -43,7 +52,6 @@ from .ffield import (
     gl_order,
     is_prime,
     mat_is_invertible,
-    mat_inv,
     smallest_irreducible,
 )
 from .grouplab import OrbitCensus, OrbitRecord, gl_points
@@ -115,7 +123,7 @@ class GaloisRing:
             raise ValueError(f"characteristic base {self.p} is not prime")
         if self.d < 1 or self.m < 1:
             raise ValueError("the degree and the truncation level must be positive")
-        object.__setattr__(self, "modulus", tuple(int(v) for v in self.modulus))
+        object.__setattr__(self, "modulus", tuple(index(v) for v in self.modulus))
         q = self.char
         if len(self.modulus) != self.d + 1 or self.modulus[-1] != 1:
             raise ValueError("the modulus must be monic of degree d")
@@ -204,7 +212,10 @@ class GaloisRingElement:
             raise ValueError("the coefficient tuple must have length d")
         q = ring.char
         _set_ring(self, ring)
-        _set_coeffs(self, tuple([int(v) % q for v in coeffs]))
+        if ring.d == 1:
+            _set_coeffs(self, (index(coeffs[0]) % q,))
+        else:
+            _set_coeffs(self, tuple([index(v) % q for v in coeffs]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -242,26 +253,37 @@ class GaloisRingElement:
         if other.ring is not ring:
             _same_ring(ring, other.ring)
         q = ring.char
+        if ring.d == 1:
+            return _element(ring, ((self.coeffs[0] + other.coeffs[0]) % q,))
         return _element(ring, tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "GaloisRingElement":
-        q = self.ring.char
-        return _element(self.ring, tuple([(-a) % q for a in self.coeffs]))
+        ring = self.ring
+        q = ring.char
+        if ring.d == 1:
+            return _element(ring, (-self.coeffs[0] % q,))
+        return _element(ring, tuple([(-a) % q for a in self.coeffs]))
 
     def __sub__(self, other: "GaloisRingElement") -> "GaloisRingElement":
         ring = self.ring
         if other.ring is not ring:
             _same_ring(ring, other.ring)
         q = ring.char
+        if ring.d == 1:
+            return _element(ring, ((self.coeffs[0] - other.coeffs[0]) % q,))
         return _element(ring, tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other: Union["GaloisRingElement", int]) -> "GaloisRingElement":
         ring = self.ring
         q = ring.char
         if isinstance(other, int):
+            if ring.d == 1:
+                return _element(ring, (self.coeffs[0] * other % q,))
             return _element(ring, tuple([(a * other) % q for a in self.coeffs]))
         if other.ring is not ring:
             _same_ring(ring, other.ring)
+        if ring.d == 1:
+            return _element(ring, (self.coeffs[0] * other.coeffs[0] % q,))
         return _element(ring, _coeff_mul(self.coeffs, other.coeffs, ring.modulus, q))
 
     def __rmul__(self, other: int) -> "GaloisRingElement":
@@ -273,10 +295,12 @@ class GaloisRingElement:
         return _element(self.ring, _coeff_pow(self.coeffs, k, self.ring.modulus, self.ring.char))
 
     def inverse(self) -> "GaloisRingElement":
-        """The multiplicative inverse, lifted from the residue field by Newton."""
+        """The multiplicative inverse: pow at d = 1, else lifted from the residue field by Newton."""
         if not self.is_unit:
             raise ZeroDivisionError("inverse of a non-unit")
         ring = self.ring
+        if ring.d == 1:
+            return _element(ring, (pow(self.coeffs[0], -1, ring.char),))
         ff = ring.residue_field
         v = ring.element(ff.coeffs_of(ff.inv(self.residue())))
         two = ring.from_int(2)
@@ -424,6 +448,8 @@ def frobenius_inv(x: GaloisRingElement) -> GaloisRingElement:
 def verschiebung(x: GaloisRingElement) -> GaloisRingElement:
     """The additive shift V = p * sigma**(-1), so sigma(V(x)) = p*x; one table."""
     ring = x.ring
+    if ring.d == 1:
+        return _element(ring, (x.coeffs[0] * ring.p % ring.char,))  # V = p* on Z/p**m
     return _element(ring, _apply_table(ring._sigma_tables[2], x.coeffs, ring.char))
 
 
@@ -496,23 +522,31 @@ def rmat_is_invertible(ring: GaloisRing, a: RMat) -> bool:
 
 
 def rmat_inv(ring: GaloisRing, a: RMat) -> RMat:
-    """Invert by lifting the residue inverse and running the Newton iteration."""
+    """Invert by Gauss-Jordan elimination, each pivot the first unit left in its column.
+
+    Over the local ring a column with no unit left makes the residue
+    singular.  The result is checked by one product a * x = 1.
+    """
     n = len(a)
-    ff = ring.residue_field
-    r = residue_matrix(ring, a)
-    if not mat_is_invertible(ff, r):
-        raise ValueError("the matrix is singular modulo p")
-    x = tuple(
-        tuple(ring.element(ff.coeffs_of(v)) for v in row) for row in mat_inv(ff, r)
-    )
     ident = rmat_identity(ring, n)
-    two_i = tuple(tuple(v * 2 for v in row) for row in ident)
-    for _ in range(ring.m.bit_length() + 2):
-        ax = rmat_mul(ring, a, x)
-        if ax == ident:
-            return x
-        x = rmat_mul(ring, x, tuple(tuple(u - v for u, v in zip(ri, rj)) for ri, rj in zip(two_i, ax)))
-    raise InvariantError("the Newton matrix inverse did not converge")
+    if any(len(row) != n for row in a):
+        raise ValueError("the matrix is singular modulo p")
+    rows = [list(row) + list(e) for row, e in zip(a, ident)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k].is_unit), None)
+        if piv is None:
+            raise ValueError("the matrix is singular modulo p")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        u = rows[k][k].inverse()
+        top = rows[k] = [v * u for v in rows[k]]
+        for r in range(n):
+            c = rows[r][k]
+            if r != k and c:
+                rows[r] = [v - c * t for v, t in zip(rows[r], top)]
+    x = tuple(tuple(row[n:]) for row in rows)
+    if rmat_mul(ring, a, x) != ident:
+        raise InvariantError("the elimination inverse must satisfy a * x = 1")
+    return x
 
 
 def _rmat_frobenius(a: RMat) -> RMat:

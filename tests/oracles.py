@@ -5,15 +5,16 @@ package computes by a faster route, and none of them is reached from
 `src/`: the subword characterisation of Bruhat order and its lifting
 property, the sign of a root, the whole zip group as a list of pairs, a
 generating set of it with a transvection per root, the coset forms listed
-prefix by prefix, the field product on digit lists, and an ascending
-filtration read at a weight directly rather than as a flipped descending one.
+prefix by prefix, the field product on digit lists, an ascending
+filtration read at a weight directly rather than as a flipped descending one,
+and Galois-ring inverses lifted from the residue field by Newton's iteration.
 """
 
 import itertools
 import operator
 from functools import lru_cache
 
-from zipstrata.coxeter import ENUMERATION_GUARD, Root, TooLarge, WeylElement
+from zipstrata.coxeter import ENUMERATION_GUARD, InvariantError, Root, TooLarge, WeylElement
 from zipstrata.ffield import (
     FiniteField,
     Mat,
@@ -21,6 +22,8 @@ from zipstrata.ffield import (
     _row_reduce,
     mat_frobenius,
     mat_identity,
+    mat_inv,
+    mat_is_invertible,
 )
 from zipstrata.grouplab import (
     ZipDatumGroupLevel,
@@ -32,6 +35,7 @@ from zipstrata.grouplab import (
     parabolic_points,
 )
 from zipstrata.orbits import _flat
+from zipstrata.witt import residue_matrix, rmat_identity, rmat_mul
 
 
 def root_is_positive(root: Root) -> bool:
@@ -160,3 +164,42 @@ def ascending_space_at(stored, n: int, i: int) -> Mat:
             break
         out = mat
     return out
+
+
+def newton_inverse(ring, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a unit given by its coefficients, on coefficient tuples.
+
+    Oracle for GaloisRingElement.inverse: the residue-field inverse, lifted
+    by v -> v (2 - a v) with `_coeff_mul` modulo (p**m, modulus).
+    """
+    ff, q, d = ring.residue_field, ring.char, ring.d
+    one = (1,) + (0,) * (d - 1)
+    residue = sum(c % ring.p * ring.p**k for k, c in enumerate(coeffs))
+    v = ff.coeffs_of(ff.inv(residue))
+    for _ in range(ring.m.bit_length() + 2):
+        prod = _coeff_mul(coeffs, v, ring.modulus, q)
+        if prod == one:
+            return v
+        two_minus = tuple((2 * o - c) % q for o, c in zip(one, prod))
+        v = _coeff_mul(v, two_minus, ring.modulus, q)
+    raise InvariantError("the Newton inverse iteration did not converge")
+
+
+def newton_rmat_inv(ring, a):
+    """Invert by lifting the residue inverse and running the Newton iteration; oracle for rmat_inv."""
+    n = len(a)
+    ff = ring.residue_field
+    r = residue_matrix(ring, a)
+    if not mat_is_invertible(ff, r):
+        raise ValueError("the matrix is singular modulo p")
+    x = tuple(
+        tuple(ring.element(ff.coeffs_of(v)) for v in row) for row in mat_inv(ff, r)
+    )
+    ident = rmat_identity(ring, n)
+    two_i = tuple(tuple(v * 2 for v in row) for row in ident)
+    for _ in range(ring.m.bit_length() + 2):
+        ax = rmat_mul(ring, a, x)
+        if ax == ident:
+            return x
+        x = rmat_mul(ring, x, tuple(tuple(u - v for u, v in zip(ri, rj)) for ri, rj in zip(two_i, ax)))
+    raise InvariantError("the Newton matrix inverse did not converge")

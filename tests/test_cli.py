@@ -416,6 +416,9 @@ WITT_DIGESTS = {
     "--p 2 --d 1 --m 3 --n 2": "f3f6b905834d00bad797365d1576b606115a45baf2060b0470cb7089786d1c22",
     "--p 2 --d 1 --m 2 --n 2 --d-block 0": "6f8f4a8236e1c7a52775e0f231f399a890428d2e9aaf7736ce20a6360711c608",
     "--p 3 --d 1 --m 2 --n 2 --check-reduction": "58b7e0d7058e090acb06ed84856b6274963cce4fc0aed71fd9f47e1041109e0f",
+    # d >= 2: the polynomial kernel and the coefficient tables
+    "--p 2 --d 2 --m 2 --n 2": "ba1405638e7c9403a568262b62b4f4e68512185424dd9106154ed9f08dd9a147",
+    "--p 3 --d 2 --m 1 --n 2": "6d06a3db2f278743a751573cdc75fca3d7ee0a1c07436642bcc452f273f411e5",
 }
 
 

@@ -546,6 +546,33 @@ def test_json_import_rejects_malformed_documents():
             fzip_from_json(json.dumps(doc))
 
 
+def _spoil_coefficient(doc, value):
+    doc["phi"][0]["matrix"][0][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda doc: doc.update(p=2.9),
+        lambda doc: doc.update(p=2.0),
+        lambda doc: doc.update(p="2"),
+        lambda doc: doc.update(n=True),
+        lambda doc: _spoil_coefficient(doc, 1.5),
+        lambda doc: _spoil_coefficient(doc, True),
+        lambda doc: doc["C"][0]["cols"][0][0].__setitem__(0, "1"),
+        lambda doc: doc["phi"][0].update(frob_exp=1.2),
+        lambda doc: doc["D"][0].update(i=0.0),
+    ],
+    ids=["float-p", "integral-float-p", "string-p", "bool-n", "float-coefficient",
+         "bool-coefficient", "string-coefficient", "float-frob-exp", "float-D-i"],
+)
+def test_json_import_requires_json_integers(spoil):
+    doc = json.loads(fzip_to_json(dieudonne_to_fzip(*ORDINARY)))
+    spoil(doc)
+    with pytest.raises(ValueError, match="must be a JSON integer"):
+        fzip_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "side,spoil",
     [

@@ -1064,6 +1064,16 @@ MINUS_O_CASES = {
         """,
         "a classify label must carry its witness",
     ),
+    "witt elimination inverse failing its product check": (
+        """
+        from zipstrata import witt
+        # a product that never gives the identity
+        witt.rmat_mul = lambda ring, a, b, cols=None: ()
+        z4 = witt.make_ring(2, 1, 2)
+        witt.rmat_inv(z4, witt.rmat_identity(z4, 2))
+        """,
+        "the elimination inverse must satisfy a * x = 1",
+    ),
     "ffield without a unit generator": (
         """
         # with no prime dividing 3 = |F_4^*|, the unit 1 passes for a generator

@@ -50,7 +50,7 @@ from zipstrata.witt import (
     verschiebung,
 )
 
-from oracles import zip_group_points
+from oracles import newton_inverse, newton_rmat_inv, zip_group_points
 
 Z4 = make_ring(2, 1, 2)
 GR16 = make_ring(2, 2, 2)
@@ -157,6 +157,22 @@ def test_element_coefficients_are_validated():
         GaloisRingElement(GR16, (1,))
 
 
+def test_coefficients_and_moduli_must_be_integers():
+    z8 = make_ring(2, 1, 3)
+    for bad in (2.7, "7", 2.0):
+        with pytest.raises(TypeError):
+            GaloisRingElement(z8, (bad,))
+        with pytest.raises(TypeError):
+            GaloisRingElement(GR16, (1, bad))
+        with pytest.raises(TypeError):
+            GaloisRing(2, 1, 2, (bad, 1))
+        with pytest.raises(TypeError):
+            GaloisRing(2, 2, 2, (1, 1, bad))
+    # integer types, bool among them, keep working
+    assert GaloisRingElement(z8, (True,)) == z8.one
+    assert GaloisRing(2, 1, 2, (False, True)) == Z4
+
+
 def test_elements_are_immutable_and_hash_by_ring_and_coefficients():
     x = GR16.element((1, 3))
     with pytest.raises(AttributeError):
@@ -188,6 +204,64 @@ def test_elements_of_equal_rings_are_equal_and_of_other_rings_unequal():
     for x in (Z4.zero, Z4.one, GR16.zero):
         assert (x == 0) is False and (x != 0) is True
         assert (x == x.coeffs) is False
+
+
+# ---------------------------------------------------------------------------
+# the Z/p**m path against the generic formulas
+# ---------------------------------------------------------------------------
+
+INTEGER_RINGS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)] + [(p, 1) for p in (2, 3, 5, 7, 31, 101)]
+
+
+def _integer_ring_id(pm):
+    return f"Z/{pm[0]}^{pm[1]}"
+
+
+@pytest.mark.parametrize("pm", INTEGER_RINGS, ids=_integer_ring_id)
+def test_degree_one_elements_act_as_their_generic_formulas(pm):
+    p, m = pm
+    ring = make_ring(p, 1, m)
+    q = ring.char
+    v_table = tuple(zip(*witt._frobenius_tables(ring)[2]))
+    for v in range(-2 * q, 2 * q + 3):
+        x = GaloisRingElement(ring, (v,))
+        assert x.coeffs == (v % q,) and x == ring.from_int(v)
+    els = list(ring.elements())
+    assert len(els) == q
+    for a in els:
+        (c,) = a.coeffs
+        assert (-a).coeffs == ((-c) % q,)
+        assert verschiebung(a).coeffs == witt._apply_table(v_table, a.coeffs, q)
+        assert frobenius(a) == frobenius_inv(a) == a
+        for k in (-q - 1, -3, -1, 0, 1, 2, q, q + 1, 3 * q + 2):
+            assert (a * k).coeffs == (k * a).coeffs == ((c * k) % q,)
+        if a.is_unit:
+            assert a.inverse().coeffs == newton_inverse(ring, a.coeffs)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        for b in els:
+            assert (a + b).coeffs == tuple((u + w) % q for u, w in zip(a.coeffs, b.coeffs))
+            assert (a - b).coeffs == tuple((u - w) % q for u, w in zip(a.coeffs, b.coeffs))
+            assert (a * b).coeffs == witt._coeff_mul(a.coeffs, b.coeffs, ring.modulus, q)
+    units = [a for a in els if a.is_unit]
+    assert len(units) == q - q // p
+
+
+def test_degree_one_results_are_ordinary_elements():
+    z9 = make_ring(3, 1, 2)
+    twin = GaloisRing(3, 1, 2, (0, 1))
+    x, y = z9.from_int(4), twin.from_int(7)
+    results = [x + y, x - y, -x, x * y, x * 5, 5 * x, verschiebung(x), x.inverse(), x**-2]
+    for r in results:
+        assert type(r) is GaloisRingElement and r.ring is z9
+        assert type(r.coeffs) is tuple and len(r.coeffs) == 1 and type(r.coeffs[0]) is int
+        assert r == GaloisRingElement(twin, r.coeffs) and hash(r) == hash(GaloisRingElement(twin, r.coeffs))
+    assert [r.coeffs[0] for r in results] == [2, 6, 5, 1, 2, 2, 3, 7, 4]
+    with pytest.raises(ValueError, match="different rings"):
+        x + make_ring(3, 1, 3).one
+    with pytest.raises(ValueError, match="different rings"):
+        x * Z4.one
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +351,58 @@ def test_verschiebung_applies_its_table_without_multiplying(monkeypatch):
     assert verschiebung(GR16.element((1, 1))) == GR16.element((0, 2))
     assert verschiebung(Z4.one) == Z4.from_int(2)
     assert verschiebung(make_ring(2, 3, 2).element((0, 1, 0))).coeffs == (0, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# matrix inverses
+# ---------------------------------------------------------------------------
+
+
+def test_elimination_inverse_equals_newton_on_every_invertible_matrix_over_z4():
+    invertibles = [
+        (flat[0:2], flat[2:4]) for flat in itertools.product(Z4.elements(), repeat=4)
+    ]
+    invertibles = [z for z in invertibles if rmat_is_invertible(Z4, z)]
+    assert len(invertibles) == 96
+    for z in invertibles:
+        x = rmat_inv(Z4, z)
+        assert x == newton_rmat_inv(Z4, z)
+        assert rmat_mul(Z4, x, z) == rmat_identity(Z4, 2)
+
+
+@pytest.mark.parametrize("pdm", [(2, 2, 2), (2, 1, 3), (3, 2, 2)], ids=["W_2(F_4)", "W_3(F_2)", "GR81"])
+def test_elimination_inverse_equals_newton_on_drawn_three_by_three_matrices(pdm):
+    ring = make_ring(*pdm)
+    cells = list(ring.elements())
+    rng = random.Random(43)
+    checked = 0
+    while checked < 40:
+        z = tuple(tuple(rng.choice(cells) for _ in range(3)) for _ in range(3))
+        if not rmat_is_invertible(ring, z):
+            with pytest.raises(ValueError, match="singular modulo p"):
+                rmat_inv(ring, z)
+            continue
+        x = rmat_inv(ring, z)
+        assert x == newton_rmat_inv(ring, z)
+        assert rmat_mul(ring, x, z) == rmat_identity(ring, 3)
+        checked += 1
+
+
+@pytest.mark.parametrize("ring", [Z4, GR16], ids=["Z/4", "W_2(F_4)"])
+def test_elimination_inverse_refuses_singular_and_non_square_input(ring):
+    # a unit multiple of p in the first column: no pivot modulo p
+    two = ring.from_int(2)
+    singular = ((two, ring.one), (ring.zero, ring.one))
+    with pytest.raises(ValueError, match="singular modulo p"):
+        rmat_inv(ring, singular)
+    with pytest.raises(ValueError, match="singular modulo p"):
+        rmat_inv(ring, ((ring.one, ring.one), (ring.one, ring.one)))
+    with pytest.raises(ValueError, match="singular modulo p"):
+        rmat_inv(ring, ((ring.one, ring.zero),))
+    assert rmat_inv(ring, ()) == ()
+    # the pivot is the first unit of its column, below a non-unit
+    swapped = ((two, ring.one), (ring.one, ring.zero))
+    assert rmat_inv(ring, swapped) == newton_rmat_inv(ring, swapped)
 
 
 # ---------------------------------------------------------------------------
