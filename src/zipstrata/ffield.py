@@ -432,7 +432,8 @@ def mat_inv(field: FiniteField, a: Mat) -> Mat:
 
 
 def mat_is_invertible(field: FiniteField, a: Mat) -> bool:
-    return len(a) == len(a[0]) and mat_rank(field, a) == len(a)
+    """True for a square matrix of full rank, the 0-by-0 one included; False for a ragged one."""
+    return all(len(row) == len(a) for row in a) and mat_rank(field, a) == len(a)
 
 
 def column_echelon(field: FiniteField, a: Mat) -> Mat:

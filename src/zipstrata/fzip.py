@@ -481,18 +481,6 @@ def dieudonne_to_fzip(
 
     r = _width(im_f)
     ident = mat_identity(n)
-    if r == n:
-        # F invertible: a single block in weight 0
-        pairs = ((0, ident),)
-        return FZipConcrete(ff.p, ff.p, deg, n, pairs, pairs, ((0, F_mat),))
-    if r == 0:
-        # V invertible: a single block in weight 1, glued by the inverse of V
-        pairs = ((1, ident),)
-        glue = mat_frobenius(ff, mat_inv(ff, V_mat), 1)
-        return FZipConcrete(ff.p, ff.p, deg, n, pairs, pairs, ((1, glue),))
-
-    C_pairs = ((0, ident), (1, im_v))
-    D_pairs = ((0, im_f), (1, ident))
     u0 = _graded_basis(ident, im_v)
     v1 = _graded_basis(ident, im_f)
     # weight 0: classes of u0 map to F(u0), expressed in the basis of im F
@@ -501,8 +489,13 @@ def dieudonne_to_fzip(
     ys = solve_right(ff, V_mat, im_v)
     xs = mat_frobenius(ff, ys, 1)
     a1 = tuple(solve_right(ff, mat_hstack((v1, im_f)), xs)[: n - r])
+    mult = (r, n - r)  # of weights 0 and 1; a weight of multiplicity 0 is left out
+
+    def graded(at_weights: tuple) -> tuple:
+        return tuple((i, x) for i, x in enumerate(at_weights) if mult[i])
+
     return FZipConcrete(
-        ff.p, ff.p, deg, n, C_pairs, D_pairs, ((0, tuple(a0)), (1, a1))
+        ff.p, ff.p, deg, n, graded((ident, im_v)), graded((im_f, ident)), graded((tuple(a0), a1))
     )
 
 

@@ -2,7 +2,8 @@
 
 A group-level zip datum on GL_n pairs a lower block parabolic P' with an
 upper block parabolic P of the same block sizes and couples them through the
-entrywise Frobenius on the common Levi.  The zip group
+entrywise Frobenius on the common Levi.  The Levi set I and the twist fix
+the datum: the type J of P' is the mirror of I.  The zip group
 
     E = {(p', p) in P' x P : frobenius(levi part of p') = levi part of p}
 
@@ -18,8 +19,10 @@ canonical form per coset, its least point, with E's other generators
 compiled to moves of the orbit engine in `orbits`; the census enumerates the
 forms directly instead of the points of GL_n.
 
-A stratum's point count over F_Q is an integer polynomial in Q, read off the
-block sizes and the length of its label; the polynomial's degree is the
+The radicals U' and U have the datum's one radical dimension, the number
+of entries below the Levi blocks.  |U'|, |E| = |U'| |L| |U| and a stratum's
+point count over F_Q, an integer polynomial in Q shifted by that dimension
+plus the length of its label, all read it; the polynomial's degree is the
 stratum's dimension.  Each layer of the reduction stores its two parabolics
 as keys, one int per index, which makes every pattern a preorder total on
 each ambient block.
@@ -184,44 +187,44 @@ class ZipDatumGroupLevel:
     """A Frobenius zip datum on GL_n over a finite base field.
 
     I is the set of simple indices inside the diagonal blocks; P' is the lower
-    block parabolic and P the upper block parabolic with those blocks.  J must
-    be the mirror image of I across the diagram (the type of P' measured from
-    the standard frame).  frob_power is the exponent e of the twist
-    x -> x**(p**e), defaulting to the relative Frobenius of the base field.
+    block parabolic and P the upper block parabolic with those blocks, so the
+    type J of P', measured from the standard frame, is the mirror image of I
+    across the diagram.  frob_power is the exponent e of the twist
+    x -> x**(p**e); None stands for the relative Frobenius of the base field
+    and is stored as its degree.
     """
 
     n: int
     field: FiniteField
     I: ParabolicType
-    J: ParabolicType
     frob_power: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("the matrix size must be at least 2")
         object.__setattr__(self, "I", ParabolicType.of(self.I))
-        object.__setattr__(self, "J", ParabolicType.of(self.J))
         self.I.validate(self.weyl)
-        mirror = frozenset(self.n - i for i in self.I.indices)
-        if self.J.indices != mirror:
-            raise ValueError(
-                "J must be the mirror of I across the diagram: "
-                f"expected {sorted(mirror)}, got {sorted(self.J.indices)}"
-            )
-        if self.frob_power is not None and self.frob_power < 0:
+        if self.frob_power is None:
+            object.__setattr__(self, "frob_power", self.field.degree)
+        elif self.frob_power < 0:
             raise ValueError("the Frobenius exponent cannot be negative")
 
-    @property
+    @cached_property
     def weyl(self) -> WeylGroup:
         return create_weyl("A", self.n - 1)
 
     @property
-    def twist_exponent(self) -> int:
-        return self.field.degree if self.frob_power is None else self.frob_power
+    def J(self) -> ParabolicType:
+        return ParabolicType.of(self.n - i for i in self.I.indices)
 
-    @property
+    @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         return _levi_classes(self.n, self.I)
+
+    @cached_property
+    def radical_dim(self) -> int:
+        """dim U' = dim U: the entries below the Levi blocks, (n^2 - sum of b^2) / 2."""
+        return (self.n**2 - sum(len(cls) ** 2 for cls in self.classes)) // 2
 
     def shadow(self) -> ZipCombinatorics:
         """The Weyl-group combinatorics attached to this datum."""
@@ -237,10 +240,8 @@ def make_zip_datum(
     I: "ParabolicType | Iterable[int]",
     frob_power: Optional[int] = None,
 ) -> ZipDatumGroupLevel:
-    """Convenience constructor deriving the mirrored J from I."""
-    I = ParabolicType.of(I)
-    J = ParabolicType.of(n - i for i in I.indices)
-    return ZipDatumGroupLevel(n, field, I, J, frob_power)
+    """The datum on GL_n with Levi set I; the default twist is the base field's Frobenius."""
+    return ZipDatumGroupLevel(n, field, I, frob_power)
 
 
 def _points_field(datum: ZipDatumGroupLevel, ext: int) -> FiniteField:
@@ -382,7 +383,8 @@ def zip_group_order(datum: ZipDatumGroupLevel, ext: int = 1) -> int:
     """|E| over the degree-`ext` extension: |U'| * |L| * |U|, from its closed form."""
     if ext < 1:
         raise ValueError("the extension degree must be positive")
-    return _layer_zip_order(_top_layer(datum), datum.field.order**ext)
+    Q = datum.field.order**ext
+    return Q ** (2 * datum.radical_dim) * prod(gl_order(len(cls), Q) for cls in datum.classes)
 
 
 def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
@@ -403,7 +405,7 @@ def zip_orbit_census(datum: ZipDatumGroupLevel, ext: int = 1) -> OrbitCensus:
     ff = _points_field(datum, ext)
     n = datum.n
     total = gl_order(n, ff.order)
-    radical = _radical_order(datum, ff)
+    radical = ff.order**datum.radical_dim
     if (cosets := total // radical) > ENUMERATION_GUARD:
         raise TooLarge(f"GL_{n} over a field of {ff.order} elements has {cosets} cosets of U'")
     order_e = zip_group_order(datum, ext)
@@ -445,7 +447,7 @@ def stabilizer(
     out = []
     for pp in parabolic_points(n, ff, datum.I, lower=True):
         p = mat_mul(ff, mat_mul(ff, g_inv, pp), g)
-        levi = mat_frobenius(ff, _levi_part(pp, classes, n), datum.twist_exponent)
+        levi = mat_frobenius(ff, _levi_part(pp, classes, n), datum.frob_power)
         if all(p[i][j] == levi[i][j] for i, j in pinned):
             out.append((pp, p))
     return tuple(out)
@@ -535,7 +537,7 @@ def _top_layer(datum: ZipDatumGroupLevel) -> _Layer:
     # one ambient block; P is upper and P' lower block triangular
     blocks = _class_ids(datum.classes, datum.n)
     whole = tuple(range(datum.n))
-    return _Layer((whole,), blocks, tuple(-b for b in blocks), whole, datum.twist_exponent)
+    return _Layer((whole,), blocks, tuple(-b for b in blocks), whole, datum.frob_power)
 
 
 def _cell_normal_form(
@@ -602,17 +604,6 @@ def _reduce_step(layer: _Layer, x: tuple[int, ...]) -> tuple[_Layer, tuple[int, 
     k = sum(1 for i in range(n) for j in range(n) if amb[i] == amb[j]
             and pp_key[i] < pp_key[j] and p_key[nu_inv[i]] < p_key[nu_inv[j]])
     return nxt, lam, k
-
-
-def _radical_roots(layer: _Layer) -> int:
-    # each radical has (|block|^2 - sum of |Levi class|^2) / 2 roots per ambient block
-    roots = 2 * sum(len(cls) ** 2 for cls in layer.classes)
-    roots -= sum(len(cls) ** 2 for cls in layer.p_levi + layer.pp_levi)
-    return roots // 2
-
-
-def _layer_zip_order(layer: _Layer, Q: int) -> int:
-    return Q ** _radical_roots(layer) * prod(gl_order(len(cls), Q) for cls in layer.pp_levi)
 
 
 @dataclass(frozen=True)
@@ -708,10 +699,8 @@ def stratum_point_polynomial(datum: ZipDatumGroupLevel, w: WeylElement) -> tuple
     points.  The degree dim P + l(w) is the stratum's dimension.
     """
     _require_stratum_label(datum, w)
-    top = _top_layer(datum)
-    # P and P' have radicals of the same size at the top layer
-    shift = _radical_roots(top) // 2 + w.length
-    return (0,) * shift + _levi_polynomial(tuple(len(cls) for cls in top.p_levi))
+    shift = datum.radical_dim + w.length
+    return (0,) * shift + _levi_polynomial(tuple(len(cls) for cls in datum.classes))
 
 
 def stratum_point_count(datum: ZipDatumGroupLevel, w: WeylElement, ext: int = 1) -> int:
@@ -762,7 +751,7 @@ def zip_generators(
     ff = _points_field(datum, ext)
     n = datum.n
     classes = datum.classes
-    k = datum.twist_exponent
+    k = datum.frob_power
     one = mat_identity(n)
 
     def elementary(i: int, j: int, c: int = 1) -> Mat:
@@ -798,16 +787,11 @@ def zip_orbit_search(
     points raises TooLarge.
     """
     ff = _points_field(datum, ext)
-    radical = _radical_order(datum, ff)
+    radical = ff.order**datum.radical_dim
     form = _coset_form(ff, datum.classes)
     orbit = _walk_orbit(_zip_moves(datum, ext), form(_flat(g)), form, guard // radical)
     hits = tuple(t for t in targets if form(_flat(t)) in orbit)
     return hits, radical * len(orbit)
-
-
-def _radical_order(datum: ZipDatumGroupLevel, ff: FiniteField) -> int:
-    # |U'|: one free entry per position below the Levi blocks
-    return ff.order ** len(_block_positions(datum.classes, datum.n, operator.gt))
 
 
 def _coset_form(ff: FiniteField, classes: Sequence[Sequence[int]]) -> _Form:

@@ -344,8 +344,7 @@ def _teichmueller_modulus(p: int, d: int, m: int, f0: tuple[int, ...]) -> tuple[
     coefficients, and those constants are the lifted modulus.
     """
     q = p**m
-    x = (0, 1) + (0,) * (d - 2) if d >= 2 else (0,)
-    t = _poly_rem_q(x, f0, q)
+    t = _poly_rem_q((0, 1) + (0,) * (d - 2), f0, q)
     for _ in range(m + 2):
         nxt = _coeff_pow(t, p**d, f0, q)
         if nxt == t:
@@ -514,10 +513,6 @@ def residue_matrix(ring: GaloisRing, a: RMat) -> Mat:
 
 def rmat_is_invertible(ring: GaloisRing, a: RMat) -> bool:
     """Invertibility over the local ring is invertibility of the residue."""
-    if not a:
-        return True
-    if any(len(row) != len(a) for row in a):
-        return False
     return mat_is_invertible(ring.residue_field, residue_matrix(ring, a))
 
 
@@ -634,7 +629,7 @@ def _checked_block(ring: GaloisRing, name: str, block: Sequence[Sequence], rows:
 
 
 def _check_unit_block(ring: GaloisRing, block: RMat) -> None:
-    if block and not mat_is_invertible(ring.residue_field, residue_matrix(ring, block)):
+    if not rmat_is_invertible(ring, block):
         raise NotInGroup("the diagonal blocks must be invertible modulo p")
 
 
@@ -664,7 +659,7 @@ def identity_display(ring: GaloisRing, n: int, d_block: int) -> DisplayGroupElem
     )
 
 
-def _assemble(ring: GaloisRing, tl: RMat, tr: RMat, bl: RMat, br: RMat) -> RMat:
+def _assemble(tl: RMat, tr: RMat, bl: RMat, br: RMat) -> RMat:
     top = tuple(ra + rb for ra, rb in zip(tl, tr))
     bottom = tuple(rc + rd for rc, rd in zip(bl, br))
     return top + bottom
@@ -672,15 +667,13 @@ def _assemble(ring: GaloisRing, tl: RMat, tr: RMat, bl: RMat, br: RMat) -> RMat:
 
 def iota(x: DisplayGroupElement) -> RMat:
     """The matrix (A, V(B~); C, D); at level one its upper block vanishes."""
-    return _assemble(x.ring, x.A, _rmat_verschiebung(x.B_pre), x.C, x.D)
+    return _assemble(x.A, _rmat_verschiebung(x.B_pre), x.C, x.D)
 
 
 def sigma_mu(x: DisplayGroupElement) -> RMat:
     """The twisted partner (sigma A, B~; p sigma C, sigma D) of iota."""
     p_sigma_c = tuple(tuple(frobenius(v) * x.ring.p for v in row) for row in x.C)
-    return _assemble(
-        x.ring, _rmat_frobenius(x.A), x.B_pre, p_sigma_c, _rmat_frobenius(x.D)
-    )
+    return _assemble(_rmat_frobenius(x.A), x.B_pre, p_sigma_c, _rmat_frobenius(x.D))
 
 
 def display_action(x: DisplayGroupElement, z: RMat) -> RMat:
@@ -925,18 +918,11 @@ def _coded_orbits(ring: GaloisRing, n: int, d_block: int) -> list[tuple[tuple[in
         raise TooLarge(f"the level-{ring.m} sum tables need {entries} entries")
     order = display_group_order(ring, n, d_block)
     moves = _display_moves(ring, n, d_block, _elements_by_code(ring))
-    points = _invertible_codes(ring, n)
-    orbits = [orbit for _, orbit in _orbit_partition(moves, points, order, tuple)]
-    if sum(len(o) for o in orbits) != _ring_gl_order(ring, n):
+    orbits = list(_orbit_partition(moves, _invertible_codes(ring, n), order, tuple))
+    if sum(len(o) for _, o in orbits) != _ring_gl_order(ring, n):
         raise InvariantError(f"the orbits do not exhaust GL_{n} over the ring")
-    lex = _lex_codes(ring)
-
-    def key(z: tuple[int, ...]) -> list[int]:
-        return [lex[c] for c in z]
-
-    ranked = [(min(o, key=key), o) for o in orbits]
-    ranked.sort(key=lambda ro: (len(ro[1]), key(ro[0])))
-    return ranked
+    # the points come in coefficient order, so each seed is its orbit's least point
+    return sorted(orbits, key=lambda so: len(so[1]))
 
 
 def display_orbit_partition(ring: GaloisRing, n: int, d_block: int) -> tuple[frozenset, ...]:

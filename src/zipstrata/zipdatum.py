@@ -133,7 +133,6 @@ def zip_from_cocharacter(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _twist_pairs(z: ZipCombinatorics) -> tuple[tuple[Window, Window], ...]:
     """Windows of (u, psi(u)**-1) for every u in W_I, grown from the generators.
 
@@ -208,7 +207,10 @@ class StratumPoset:
     length_of: tuple[int, ...]
     dim_of: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
-    order_complete: bool
+
+    @property
+    def order_complete(self) -> bool:
+        return self.rows is not None
 
     @cached_property
     def leq(self) -> Optional[tuple[tuple[bool, ...], ...]]:
@@ -226,7 +228,7 @@ class StratumPoset:
 
     def _need_order(self) -> tuple[int, ...]:
         """The bit rows of the order, or ValueError when it was omitted."""
-        if not self.order_complete or self.rows is None:
+        if self.rows is None:
             raise ValueError("the order was omitted for this datum (Levi too large)")
         return self.rows
 
@@ -252,9 +254,9 @@ def stratum_poset(z: ZipCombinatorics) -> StratumPoset:
     base = dim_parabolic(z)
     dims = tuple(base + l for l in lengths)
     if parabolic_order(z.group, z.I) > LEVI_ENUMERATION_GUARD:
-        return StratumPoset(z, carrier, None, lengths, dims, (), False)
+        return StratumPoset(z, carrier, None, lengths, dims, ())
     rows = tuple(_twisted_rows(z, carrier))
-    return StratumPoset(z, carrier, rows, lengths, dims, _validate_order(lengths, rows), True)
+    return StratumPoset(z, carrier, rows, lengths, dims, _validate_order(lengths, rows))
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -476,7 +478,7 @@ def import_poset(text: str) -> StratumPoset:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"cover ({a}, {b}) names a stratum outside 0..{n - 1}")
     if obj.get("order") != ORDER_COMPLETE:
-        return StratumPoset(z, carrier, None, lengths, dims, (), False)
+        return StratumPoset(z, carrier, None, lengths, dims, ())
     rows = [1 << a for a in range(n)]
     changed = True
     while changed:
@@ -485,4 +487,4 @@ def import_poset(text: str) -> StratumPoset:
             if rows[a] | rows[b] != rows[a]:
                 rows[a] |= rows[b]
                 changed = True
-    return StratumPoset(z, carrier, tuple(rows), lengths, dims, covers, True)
+    return StratumPoset(z, carrier, tuple(rows), lengths, dims, covers)

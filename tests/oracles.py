@@ -4,8 +4,9 @@ Each one computes by exhaustion or by a textbook characterisation what the
 package computes by a faster route, and none of them is reached from
 `src/`: the subword characterisation of Bruhat order and its lifting
 property, the sign of a root, the whole zip group as a list of pairs, a
-generating set of it with a transvection per root, the coset forms listed
-prefix by prefix, the field product on digit lists, an ascending
+generating set of it with a transvection per root, the zip group order of
+one layer of the reduction counted from its Levi classes, the coset forms
+listed prefix by prefix, the field product on digit lists, an ascending
 filtration read at a weight directly rather than as a flipped descending one,
 and Galois-ring inverses lifted from the residue field by Newton's iteration.
 """
@@ -13,6 +14,7 @@ and Galois-ring inverses lifted from the residue field by Newton's iteration.
 import itertools
 import operator
 from functools import lru_cache
+from math import prod
 
 from zipstrata.coxeter import ENUMERATION_GUARD, InvariantError, Root, TooLarge, WeylElement
 from zipstrata.ffield import (
@@ -20,6 +22,7 @@ from zipstrata.ffield import (
     Mat,
     _coeff_mul,
     _row_reduce,
+    gl_order,
     mat_frobenius,
     mat_identity,
     mat_inv,
@@ -89,7 +92,7 @@ def zip_group_points(
     total = len(lowers) * ff.order ** len(upper_strict)
     if total > ENUMERATION_GUARD:
         raise TooLarge(f"the zip group has {total} points")
-    k = datum.twist_exponent
+    k = datum.frob_power
     out = []
     for p_prime in lowers:
         levi = mat_frobenius(ff, _levi_part(p_prime, classes, n), k)
@@ -110,7 +113,7 @@ def zip_generators_per_root(
     ff = _points_field(datum, ext)
     n = datum.n
     classes = datum.classes
-    k = datum.twist_exponent
+    k = datum.frob_power
     one = mat_identity(n)
 
     def elementary(i, j, c):
@@ -126,6 +129,17 @@ def zip_generators_per_root(
         levis += [elementary(i, j, 1) for i in cls for j in cls if i != j]
         pairs += [(l, mat_frobenius(ff, l, k)) for l in levis]
     return tuple(pairs)
+
+
+def layer_zip_order(layer, Q: int) -> int:
+    """|E| of one layer of the reduction over F_Q, from the layer's own Levi classes.
+
+    Each radical has (|block|^2 - sum of |Levi class|^2) / 2 roots per
+    ambient block; oracle for zip_group_order at the top layer.
+    """
+    roots = 2 * sum(len(cls) ** 2 for cls in layer.classes)
+    roots -= sum(len(cls) ** 2 for cls in layer.p_levi + layer.pp_levi)
+    return Q ** (roots // 2) * prod(gl_order(len(cls), Q) for cls in layer.pp_levi)
 
 
 def coset_forms_by_prefix(ff: FiniteField, classes):

@@ -345,6 +345,21 @@ def test_orbits_census_over_f49_runs_past_the_point_guard(capsys):
     assert censuses[1]["group_order"] == 5_644_800
 
 
+# sha256 of stdout on data with Levi blocks, captured before |U'|, |E| and the
+# stabilizer orders were read from the datum's radical dimension
+ORBITS_DIGESTS = {
+    "--n 3 --q 2 --blocks 1,2 --ext 1..2": "6d5f492a136bdf0556647b0af62ca42230ad8c40e85830778bde47d071fe4e46",
+    "--n 4 --q 2 --blocks 2,2": "fa032a34f0bd939aea0bb4529c5077fcd09f18f2c621d226cff5efaa5dc6ee75",
+}
+
+
+@pytest.mark.parametrize("flags", list(ORBITS_DIGESTS))
+def test_orbits_output_bytes_on_levi_blocks_are_pinned(capsys, flags):
+    code, out, _ = run(capsys, "orbits", *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBITS_DIGESTS[flags]
+
+
 def test_orbits_rejects_a_composite_field_size_as_usage_error(capsys):
     assert run(capsys, "orbits", "--n", "2", "--q", "6", "--ext", "1")[0] == 2
     assert run(capsys, "orbits", "--n", "2", "--q", "2", "--ext", "3..1")[0] == 2

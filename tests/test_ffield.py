@@ -223,6 +223,13 @@ def test_matrix_inverse_and_rank(p, d):
         assert mat_rank(F, a) == 3
 
 
+def test_invertibility_of_the_empty_and_of_ragged_matrices():
+    F = get_field(2, 1)
+    assert mat_is_invertible(F, ()) and mat_inv(F, ()) == ()
+    for ragged in (((1, 0), (1,)), ((1,), (0, 1)), ((),), ((1, 0),)):
+        assert not mat_is_invertible(F, ragged)
+
+
 def test_column_echelon_is_a_span_invariant():
     F = get_field(2, 2)
     rng = random.Random(11)

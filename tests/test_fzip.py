@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 
 from zipstrata.coxeter import create_weyl, min_coset_reps
-from zipstrata.ffield import get_field, mat_inv, mat_mul
+from zipstrata.ffield import get_field, mat_frobenius, mat_identity, mat_inv, mat_mul
 from zipstrata.fzip import (
     _flip,
     _space_at,
@@ -287,6 +287,26 @@ def test_etale_and_multiplicative_extremes_are_single_block_data():
         label = classify(z)
         assert label.w.reduced_word() == ()
         assert len(enumerate_strata(fzip_type(z)).carrier) == 1
+
+
+@pytest.mark.parametrize(
+    "field,unit",
+    [
+        (FF4, ((FF4.generator, 1), (0, 1))),
+        (FF3, ((1, 2, 0), (0, 1, 1), (1, 0, 2))),
+    ],
+)
+def test_extreme_ranks_keep_only_the_weight_they_occupy(field, unit):
+    # F invertible puts everything in weight 0, glued by F; V invertible puts
+    # everything in weight 1, glued by the Frobenius twist of V's inverse
+    n = len(unit)
+    ident = mat_identity(n)
+    zero = tuple((0,) * n for _ in range(n))
+    etale = dieudonne_to_fzip(unit, zero, field)
+    assert (etale.C, etale.D, etale.phi) == (((0, ident),), ((0, ident),), ((0, unit),))
+    mult = dieudonne_to_fzip(zero, unit, field)
+    glue = mat_frobenius(field, mat_inv(field, unit), 1)
+    assert (mult.C, mult.D, mult.phi) == (((1, ident),), ((1, ident),), ((1, glue),))
 
 
 def test_operator_pairs_reject_exactness_failures_by_name():

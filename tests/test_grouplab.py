@@ -7,6 +7,7 @@ and Lang witnesses re-verified by hand.
 """
 
 import ast
+import dataclasses
 import hashlib
 import os
 import random
@@ -68,7 +69,7 @@ from zipstrata.grouplab import (
 from zipstrata.orbits import _compile_moves, _flat
 from zipstrata.zipdatum import stratum_dimension, stratum_poset
 
-from oracles import coset_forms_by_prefix, zip_generators_per_root, zip_group_points
+from oracles import coset_forms_by_prefix, layer_zip_order, zip_generators_per_root, zip_group_points
 
 F2 = get_field(2, 1)
 F3 = get_field(3, 1)
@@ -180,9 +181,9 @@ def test_zip_group_points_refuses_oversized_enumerations():
 
 def test_the_datum_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        ZipDatumGroupLevel(3, F2, (1,), (1,))
+        ZipDatumGroupLevel(1, F2, ())
     with pytest.raises(ValueError):
-        ZipDatumGroupLevel(1, F2, (), ())
+        make_zip_datum(3, F2, (3,))
     with pytest.raises(ValueError):
         make_zip_datum(2, F2, (), frob_power=-1)
 
@@ -193,6 +194,26 @@ def test_make_zip_datum_mirrors_the_levi_set():
     d = make_zip_datum(4, F2, (1,))
     assert sorted(d.J.indices) == [3]
     assert d.shadow().J == d.J
+
+
+def test_the_datum_is_its_size_field_levi_set_and_twist():
+    assert [f.name for f in dataclasses.fields(ZipDatumGroupLevel)] == ["n", "field", "I", "frob_power"]
+    for field in (F2, F4):
+        d = make_zip_datum(3, field, (1,))
+        twisted = make_zip_datum(3, field, (1,), frob_power=field.degree)
+        assert d == twisted and hash(d) == hash(twisted)
+        assert d.frob_power == field.degree
+    assert make_zip_datum(3, F4, (1,), frob_power=1) != make_zip_datum(3, F4, (1,))
+
+
+def test_radical_dim_counts_the_positions_below_the_blocks():
+    for n in range(2, 7):
+        for I in _all_block_types(n):
+            d = make_zip_datum(n, F2, I)
+            ids = [k for k, cls in enumerate(d.classes) for _ in cls]
+            below = sum(1 for i in range(n) for j in range(n) if ids[i] > ids[j])
+            assert d.radical_dim == below, (n, I)
+            assert d.J.indices == frozenset(n - i for i in I)
 
 
 def test_stratum_labels_must_be_minimal_coset_representatives():
@@ -569,8 +590,8 @@ def test_census_checks_survive_python_minus_o():
         from zipstrata import grouplab
         from zipstrata.ffield import get_field
         assert False, "asserts must be off"
-        true_order = grouplab._layer_zip_order
-        grouplab._layer_zip_order = lambda layer, Q: true_order(layer, Q) + 1
+        true_order = grouplab.zip_group_order
+        grouplab.zip_group_order = lambda datum, ext=1: true_order(datum, ext) + 1
         try:
             grouplab.zip_orbit_census(grouplab.make_zip_datum(2, get_field(2, 1), ()))
         except grouplab.InvariantError as exc:
@@ -611,7 +632,7 @@ def chain_count(chain, Q):
     over Q**k for the step's kernel dimension k and the next zip group's order.
     """
     layers, kernel_dims = chain
-    orders = [grouplab._layer_zip_order(layer, Q) for layer in layers]
+    orders = [layer_zip_order(layer, Q) for layer in layers]
     count = 1
     for cls in layers[-1].classes:
         count *= gl_order(len(cls), Q)

@@ -389,6 +389,14 @@ def test_elimination_inverse_equals_newton_on_drawn_three_by_three_matrices(pdm)
 
 
 @pytest.mark.parametrize("ring", [Z4, GR16], ids=["Z/4", "W_2(F_4)"])
+def test_invertibility_of_the_empty_and_of_ragged_matrices_over_the_ring(ring):
+    one, zero = ring.one, ring.zero
+    assert rmat_is_invertible(ring, ())
+    for ragged in (((one, zero), (one,)), ((one,), (zero, one)), ((),), ((one, zero),)):
+        assert not rmat_is_invertible(ring, ragged)
+
+
+@pytest.mark.parametrize("ring", [Z4, GR16], ids=["Z/4", "W_2(F_4)"])
 def test_elimination_inverse_refuses_singular_and_non_square_input(ring):
     # a unit multiple of p in the first column: no pivot modulo p
     two = ring.from_int(2)

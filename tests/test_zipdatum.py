@@ -219,8 +219,9 @@ def test_covers_found_during_the_order_check_match_the_derived_covers():
 def _rank_key_rows(z, carrier):
     """Bit rows by testing every translate against every label with bruhat_leq."""
     rows = []
+    pairs = _twist_pairs(z)
     for wp in carrier:
-        lows = {z.group.element(_compose(_compose(u, wp.window), p)) for u, p in _twist_pairs(z)}
+        lows = {z.group.element(_compose(_compose(u, wp.window), p)) for u, p in pairs}
         row = 0
         for j, w in enumerate(carrier):
             if any(bruhat_leq(low, w) for low in lows):
